@@ -24,6 +24,7 @@
  */
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,39 +69,39 @@ dieParity(const std::string &label, const char *granularity,
     std::exit(4);
 }
 
-/** One SpMV workload: race the static strategies against both
- *  consolidation granularities, gate bit parity against the reference,
- *  and return the figure row. */
-Row
-spmvRow(const Gpu &gpu, int64_t rows, int64_t avgDeg, RowDist dist,
-        uint64_t seed, double *staticMs, double *consMs)
-{
-    const std::string label = std::string("spmv ") + rowDistName(dist) +
-                              " " + std::to_string(rows) + "x" +
-                              std::to_string(avgDeg);
-    CsrMatrix m = makeCsr(rows, avgDeg, dist, seed);
-    SpmvProgram s = buildSpmv();
-    std::vector<double> x(m.rows);
-    Rng rng(seed ^ 0xd15e);
-    for (auto &v : x)
-        v = rng.uniform(-1, 1);
+/** Output vectors of one run, one per program output. */
+using Outputs = std::vector<std::vector<double>>;
 
-    std::vector<double> refY(m.rows, 0.0);
+/** Binds a workload's inputs plus the given output vectors. */
+using Binder = std::function<Bindings(Outputs &)>;
+
+/** One workload: race the static strategies against both consolidation
+ *  granularities, gate every output's bit parity against the
+ *  reference, and return the figure row. */
+Row
+raceRow(const Gpu &gpu, const std::string &label, const Program &prog,
+        int64_t outLen, const std::vector<const char *> &outNames,
+        const Binder &bind, double *staticMs, double *consMs)
+{
+    const auto fresh = [&] {
+        return Outputs(outNames.size(), std::vector<double>(outLen, 0.0));
+    };
+    Outputs ref = fresh();
     {
-        Bindings args = s.bind(m, x, refY);
-        ReferenceInterp().run(*s.prog, args);
+        Bindings args = bind(ref);
+        ReferenceInterp().run(prog, args);
     }
 
     double bestStatic = 0.0;
     bool haveStatic = false;
     for (const StaticPoint &sp : kStatic) {
-        std::vector<double> y(m.rows, 0.0);
-        Bindings args = s.bind(m, x, y);
+        Outputs outs = fresh();
+        Bindings args = bind(outs);
         CompileOptions copts;
         copts.strategy = sp.strategy;
         ExecOptions eopts;
         eopts.metricsOnly = true;
-        const SimReport r = gpu.compileAndRun(*s.prog, args, copts, eopts);
+        const SimReport r = gpu.compileAndRun(prog, args, copts, eopts);
         if (!haveStatic || r.totalMs < bestStatic)
             bestStatic = r.totalMs;
         haveStatic = true;
@@ -111,14 +112,16 @@ spmvRow(const Gpu &gpu, int64_t rows, int64_t avgDeg, RowDist dist,
     const BinGranularity grans[2] = {BinGranularity::Warp,
                                      BinGranularity::Block};
     for (int g = 0; g < 2; g++) {
-        std::vector<double> y(m.rows, 0.0);
-        Bindings args = s.bind(m, x, y);
+        Outputs outs = fresh();
+        Bindings args = bind(outs);
         CompileOptions copts;
         copts.strategy = Strategy::Consolidate;
         copts.binGranularity = grans[g];
-        const SimReport r = gpu.compileAndRun(*s.prog, args, copts);
-        if (maxAbsDiff(refY, y) > 0.0)
-            dieParity(label, granNames[g], "y");
+        const SimReport r = gpu.compileAndRun(prog, args, copts);
+        for (size_t o = 0; o < outNames.size(); o++) {
+            if (maxAbsDiff(ref[o], outs[o]) > 0.0)
+                dieParity(label, granNames[g], outNames[o]);
+        }
         cons[g] = {r.totalMs, r.queueBuildMs, r.stats.binFill};
     }
     const ConsRun &best =
@@ -131,67 +134,47 @@ spmvRow(const Gpu &gpu, int64_t rows, int64_t avgDeg, RowDist dist,
                 best.queueBuildMs, bestStatic / best.totalMs}};
 }
 
-/** One BFS frontier-expansion workload (frontier = every vertex once);
- *  same race and parity gate as spmvRow. */
+std::string
+rowLabel(const char *kind, int64_t rows, int64_t avgDeg, RowDist dist)
+{
+    return std::string(kind) + " " + rowDistName(dist) + " " +
+           std::to_string(rows) + "x" + std::to_string(avgDeg);
+}
+
+/** One SpMV workload (random x in [-1, 1]). */
+Row
+spmvRow(const Gpu &gpu, int64_t rows, int64_t avgDeg, RowDist dist,
+        uint64_t seed, double *staticMs, double *consMs)
+{
+    CsrMatrix m = makeCsr(rows, avgDeg, dist, seed);
+    SpmvProgram s = buildSpmv();
+    std::vector<double> x(m.rows);
+    Rng rng(seed ^ 0xd15e);
+    for (auto &v : x)
+        v = rng.uniform(-1, 1);
+    return raceRow(
+        gpu, rowLabel("spmv", rows, avgDeg, dist), *s.prog, m.rows, {"y"},
+        [&](Outputs &outs) { return s.bind(m, x, outs[0]); }, staticMs,
+        consMs);
+}
+
+/** One BFS frontier-expansion workload (frontier = every vertex once). */
 Row
 bfsRow(const Gpu &gpu, int64_t rows, int64_t avgDeg, RowDist dist,
        uint64_t seed, double *staticMs, double *consMs)
 {
-    const std::string label = std::string("bfs ") + rowDistName(dist) +
-                              " " + std::to_string(rows) + "x" +
-                              std::to_string(avgDeg);
     CsrMatrix g = makeCsr(rows, avgDeg, dist, seed);
     BfsFrontierProgram b = buildBfsFrontier();
     std::vector<double> frontier(g.rows);
     for (int64_t i = 0; i < g.rows; i++)
         frontier[i] = static_cast<double>(i);
-
-    std::vector<double> refNext(g.rows, 0.0), refDeg(g.rows, 0.0);
-    {
-        Bindings args = b.bind(g, frontier, refNext, refDeg);
-        ReferenceInterp().run(*b.prog, args);
-    }
-
-    double bestStatic = 0.0;
-    bool haveStatic = false;
-    for (const StaticPoint &sp : kStatic) {
-        std::vector<double> next(g.rows, 0.0), deg(g.rows, 0.0);
-        Bindings args = b.bind(g, frontier, next, deg);
-        CompileOptions copts;
-        copts.strategy = sp.strategy;
-        ExecOptions eopts;
-        eopts.metricsOnly = true;
-        const SimReport r = gpu.compileAndRun(*b.prog, args, copts, eopts);
-        if (!haveStatic || r.totalMs < bestStatic)
-            bestStatic = r.totalMs;
-        haveStatic = true;
-    }
-
-    ConsRun cons[2];
-    const char *granNames[2] = {"warp", "block"};
-    const BinGranularity grans[2] = {BinGranularity::Warp,
-                                     BinGranularity::Block};
-    for (int gi = 0; gi < 2; gi++) {
-        std::vector<double> next(g.rows, 0.0), deg(g.rows, 0.0);
-        Bindings args = b.bind(g, frontier, next, deg);
-        CompileOptions copts;
-        copts.strategy = Strategy::Consolidate;
-        copts.binGranularity = grans[gi];
-        const SimReport r = gpu.compileAndRun(*b.prog, args, copts);
-        if (maxAbsDiff(refNext, next) > 0.0)
-            dieParity(label, granNames[gi], "next");
-        if (maxAbsDiff(refDeg, deg) > 0.0)
-            dieParity(label, granNames[gi], "deg");
-        cons[gi] = {r.totalMs, r.queueBuildMs, r.stats.binFill};
-    }
-    const ConsRun &best =
-        cons[0].totalMs <= cons[1].totalMs ? cons[0] : cons[1];
-
-    *staticMs = bestStatic;
-    *consMs = best.totalMs;
-    return Row{label,
-               {bestStatic, cons[0].totalMs, cons[1].totalMs, best.binFill,
-                best.queueBuildMs, bestStatic / best.totalMs}};
+    return raceRow(
+        gpu, rowLabel("bfs", rows, avgDeg, dist), *b.prog, g.rows,
+        {"next", "deg"},
+        [&](Outputs &outs) {
+            return b.bind(g, frontier, outs[0], outs[1]);
+        },
+        staticMs, consMs);
 }
 
 void

@@ -30,32 +30,6 @@ softKindName(Constraint::Kind kind)
     return "?";
 }
 
-std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    out += "\"";
-    return out;
-}
-
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
-
 } // namespace
 
 MappingExplanation
@@ -201,12 +175,8 @@ formatSearchExplanation(const SearchExplanation &ex)
        << (ex.controlDopNote.empty() ? "no adjustment"
                                      : ex.controlDopNote)
        << "\n";
-    if (!ex.fleetNote.empty())
-        os << ex.fleetNote;
-    if (!ex.consolidationNote.empty())
-        os << ex.consolidationNote;
-    if (!ex.predictNote.empty())
-        os << ex.predictNote;
+    for (const ExplainSection &section : ex.sections)
+        os << section.text;
     return os.str();
 }
 
@@ -220,27 +190,28 @@ searchExplanationJson(const SearchExplanation &ex)
         return os.str();
     }
     const MappingExplanation &m = ex.selected;
-    os << ",\"selected\":" << jsonStr(m.decision.toString());
+    os << ",\"selected\":" << jsonQuote(m.decision.toString());
     os << ",\"feasible\":" << (m.feasible ? "true" : "false");
-    os << ",\"score\":" << num(m.totalScore);
-    os << ",\"dop\":" << num(m.dop);
+    os << ",\"score\":" << precise(m.totalScore, 17);
+    os << ",\"dop\":" << precise(m.dop, 17);
     os << ",\"hard_checks\":[";
     for (size_t i = 0; i < m.hardChecks.size(); i++) {
         const HardCheck &h = m.hardChecks[i];
-        os << (i ? "," : "") << "{\"name\":" << jsonStr(h.name)
+        os << (i ? "," : "") << "{\"name\":" << jsonQuote(h.name)
            << ",\"passed\":" << (h.passed ? "true" : "false")
-           << ",\"detail\":" << jsonStr(h.detail) << "}";
+           << ",\"detail\":" << jsonQuote(h.detail) << "}";
     }
     os << "],\"soft\":[";
     for (size_t i = 0; i < m.soft.size(); i++) {
         const SoftContribution &s = m.soft[i];
         os << (i ? "," : "") << "{\"index\":" << s.constraintIndex
-           << ",\"level\":" << s.level << ",\"weight\":" << num(s.weight)
+           << ",\"level\":" << s.level
+           << ",\"weight\":" << precise(s.weight, 17)
            << ",\"satisfied\":" << (s.satisfied ? "true" : "false")
            << ",\"skipped_flexible\":"
            << (s.skippedFlexible ? "true" : "false")
-           << ",\"contribution\":" << num(s.contribution)
-           << ",\"reason\":" << jsonStr(s.reason) << "}";
+           << ",\"contribution\":" << precise(s.contribution, 17)
+           << ",\"reason\":" << jsonQuote(s.reason) << "}";
     }
     os << "],\"enumerated\":" << ex.enumerated;
     os << ",\"feasible_count\":" << ex.feasibleCount;
@@ -250,13 +221,9 @@ searchExplanationJson(const SearchExplanation &ex)
     os << ",\"at_best_score\":" << ex.atBestScore;
     os << ",\"at_best_capped_dop\":" << ex.atBestCappedDop;
     os << ",\"at_best_blocks\":" << ex.atBestBlocks;
-    os << ",\"control_dop\":" << jsonStr(ex.controlDopNote);
-    if (!ex.fleetJson.empty())
-        os << ",\"fleet\":" << ex.fleetJson;
-    if (!ex.consolidationJson.empty())
-        os << ",\"consolidation\":" << ex.consolidationJson;
-    if (!ex.predictJson.empty())
-        os << ",\"predict\":" << ex.predictJson;
+    os << ",\"control_dop\":" << jsonQuote(ex.controlDopNote);
+    for (const ExplainSection &section : ex.sections)
+        os << "," << jsonQuote(section.key) << ":" << section.json;
     os << "}";
     return os.str();
 }

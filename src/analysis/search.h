@@ -96,6 +96,14 @@ struct MappingExplanation
     double dop = 0.0;
 };
 
+/** One sweep's part of the decision report (sim/sweep.h). */
+struct ExplainSection
+{
+    std::string key;  //!< JSON member name: "fleet", "consolidation", ...
+    std::string text; //!< --explain text block, newline-terminated
+    std::string json; //!< JSON object filed under `key`
+};
+
 /** Why the search selected its winner (SearchOptions::explain). */
 struct SearchExplanation
 {
@@ -125,47 +133,12 @@ struct SearchExplanation
     /** The selected (post-ControlDOP) mapping, fully explained. */
     MappingExplanation selected;
 
-    /** @name Multi-device extension
-     * The (deviceCount, splitPoint) sweep runs above the per-device
-     * search — scoring shards needs the simulator, which analysis/
-     * cannot depend on — but its verdicts are part of this decision
-     * report. The fleet layer (sim/fleet.h) fills these after the
-     * sweep; formatSearchExplanation / searchExplanationJson render
-     * them alongside the per-device parameters when non-empty.
-     *  @{
-     */
-    /** formatFleetChoice() text: per-candidate times + hard filters. */
-    std::string fleetNote;
-    /** fleetChoiceJson() object for the machine-readable export. */
-    std::string fleetJson;
-    /** @} */
-
-    /** @name Consolidation sweep annotations
-     * Filled by the consolidation layer (sim/consolidation.h) when a
-     * program with runtime-sized inner domains is swept against the
-     * warp-/block-bin queue mappings; rendered alongside the search
-     * report when non-empty (same contract as the fleet annotations).
-     *  @{
-     */
-    /** formatConsolidationChoice() text: per-candidate verdicts. */
-    std::string consolidationNote;
-    /** consolidationChoiceJson() object for the JSON export. */
-    std::string consolidationJson;
-    /** @} */
-
-    /** @name Predictive-pruning annotations
-     * Filled by the predict layer (predict/predict.h) when a sweep ran
-     * under the learned cost model: per-candidate predicted times,
-     * survive/prune verdicts, and the exactly-simulated survivors.
-     * Rendered alongside the search report when non-empty (same
-     * contract as the fleet and consolidation annotations).
-     *  @{
-     */
-    /** PredictSweep::note() text: ranking + pruning verdicts. */
-    std::string predictNote;
-    /** PredictSweep::toJson() object for the JSON export. */
-    std::string predictJson;
-    /** @} */
+    /** Reports of the empirical sweeps that ran on top of this search
+     *  (fleet placement, consolidation, predictive pruning — they need
+     *  the simulator, which analysis/ cannot depend on), in the order
+     *  the caller ran them. The formatters below render them after the
+     *  search report. */
+    std::vector<ExplainSection> sections;
 };
 
 /** Search outcome. */

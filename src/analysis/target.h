@@ -129,6 +129,10 @@ struct FleetConfig
     double peerLatencyUs = 8.0;
 };
 
+/** Largest fleet a caller may request (nppc --devices, the serve
+ *  protocol's "devices" field). */
+inline constexpr int kMaxFleetDevices = 32;
+
 /** N simulated K20c devices with the default peer link. */
 FleetConfig fleetK20c(int deviceCount);
 

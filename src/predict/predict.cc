@@ -3,49 +3,19 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <numeric>
 #include <sstream>
-#include <unordered_set>
 
 #include "codegen/compile.h"
+#include "sim/sweep.h"
 #include "support/env.h"
 #include "support/logging.h"
-#include "support/parallel.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
 namespace npp {
 
 namespace {
-
-std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            // Mapping strings are printable ASCII; drop anything else
-            // rather than emit invalid JSON.
-            if (static_cast<unsigned char>(c) >= 0x20)
-                out += c;
-        }
-    }
-    out += "\"";
-    return out;
-}
-
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.precision(12);
-    os << v;
-    return os.str();
-}
 
 /** Process-wide counters shared by PredictRuntime and the harvest
  *  observer (the observer outlives any particular sweep). */
@@ -68,51 +38,49 @@ predictOptionsFromEnv()
     return opts;
 }
 
-std::string
-PredictSweep::note() const
+ExplainSection
+PredictSweep::section() const
 {
-    std::ostringstream os;
+    ExplainSection out;
+    out.key = "predict";
     if (usedModel) {
-        os << fmt("predict: model ranked {} candidates; simulated {} "
-                  "(pruned {}); best {} at {} ms\n",
-                  candidates.size(), survivors, pruned, best.toString(),
-                  fixed(bestMs, 6));
+        out.text = fmt("predict: model ranked {} candidates; simulated {} "
+                       "(pruned {}); best {} at {} ms\n",
+                       candidates.size(), survivors, pruned,
+                       best.toString(), fixed(bestMs, 6));
     } else {
-        os << fmt("predict: full sweep over {} candidates ({}); best {} "
-                  "at {} ms\n",
-                  candidates.size(),
-                  fallbackReason.empty() ? "predictor disabled"
-                                         : fallbackReason,
-                  best.toString(), fixed(bestMs, 6));
+        out.text = fmt("predict: full sweep over {} candidates ({}); best "
+                       "{} at {} ms\n",
+                       candidates.size(),
+                       fallbackReason.empty() ? "predictor disabled"
+                                              : fallbackReason,
+                       best.toString(), fixed(bestMs, 6));
     }
-    return os.str();
-}
 
-std::string
-PredictSweep::toJson() const
-{
     std::ostringstream os;
     os << "{\"used_model\":" << (usedModel ? "true" : "false");
     if (!usedModel)
-        os << ",\"fallback_reason\":" << jsonStr(fallbackReason);
+        os << ",\"fallback_reason\":" << jsonQuote(fallbackReason);
     os << ",\"pruned\":" << pruned;
     os << ",\"survivors\":" << survivors;
-    os << ",\"best\":" << jsonStr(best.toString());
-    os << ",\"best_ms\":" << num(bestMs);
+    os << ",\"best\":" << jsonQuote(best.toString());
+    os << ",\"best_ms\":" << precise(bestMs, 12);
     os << ",\"candidates\":[";
     for (size_t i = 0; i < candidates.size(); i++) {
         const PredictCandidate &c = candidates[i];
         os << (i ? "," : "") << "{\"mapping\":"
-           << jsonStr(c.decision.toString()) << ",\"score\":"
-           << num(c.score) << ",\"predicted_ms\":" << num(c.predictedMs)
+           << jsonQuote(c.decision.toString()) << ",\"score\":"
+           << precise(c.score, 12)
+           << ",\"predicted_ms\":" << precise(c.predictedMs, 12)
            << ",\"survived\":" << (c.survived ? "true" : "false")
            << ",\"score_choice\":" << (c.isScoreChoice ? "true" : "false");
         if (c.survived)
-            os << ",\"exact_ms\":" << num(c.exactMs);
+            os << ",\"exact_ms\":" << precise(c.exactMs, 12);
         os << "}";
     }
     os << "]}";
-    return os.str();
+    out.json = os.str();
+    return out;
 }
 
 PredictSweep
@@ -127,23 +95,8 @@ predictiveSweep(const Gpu &gpu, const Program &prog, const Bindings &args,
     base.strategy = Strategy::MultiDim;
     base.keepCandidates = true;
     CompileResult compiled = compileProgram(prog, gpu.config(), base);
-
-    std::vector<ScoredMapping> cands = compiled.candidates;
-    std::sort(cands.begin(), cands.end(),
-              [](const ScoredMapping &a, const ScoredMapping &b) {
-                  return a.score > b.score;
-              });
-    std::vector<ScoredMapping> picks;
-    std::unordered_set<MappingDecision> seen;
-    picks.push_back({compiled.spec.mapping, compiled.spec.score,
-                     compiled.spec.dop, 0.0});
-    seen.insert(compiled.spec.mapping);
-    for (const auto &c : cands) {
-        if (static_cast<int>(picks.size()) >= kPredictUniverse)
-            break;
-        if (seen.insert(c.decision).second)
-            picks.push_back(c);
-    }
+    const std::vector<ScoredMapping> picks =
+        scoreRankedPicks(compiled, kPredictUniverse);
 
     sweep.candidates.resize(picks.size());
     for (size_t i = 0; i < picks.size(); i++) {
@@ -152,75 +105,51 @@ predictiveSweep(const Gpu &gpu, const Program &prog, const Bindings &args,
         sweep.candidates[i].isScoreChoice = i == 0;
     }
 
-    // Survivor selection: everything without a model; with one, rank by
-    // predicted time and keep the top-k plus the score choice (so the
-    // pruned sweep can never do worse than Algorithm 1 alone).
-    const ExecOptions eopts; // the sweep's execution configuration
+    // Pruner: rank by predicted time and keep the top-k plus the score
+    // choice (so the pruned sweep can never do worse than Algorithm 1
+    // alone). Without a model every candidate survives.
+    SweepPruner prune;
     if (model) {
         sweep.usedModel = true;
-        for (size_t i = 0; i < picks.size(); i++) {
-            const PredictFeatures f =
-                extractFeatures(prog, picks[i].decision, gpu.config(),
-                                eopts, base.paramValues);
-            sweep.candidates[i].predictedMs = model->predictMs(f);
+        const ExecOptions eopts; // the sweep's execution configuration
+        for (PredictCandidate &c : sweep.candidates) {
+            c.predictedMs = model->predictMs(
+                extractFeatures(prog, c.decision, gpu.config(), eopts,
+                                base.paramValues));
         }
-        std::vector<size_t> order(picks.size());
-        for (size_t i = 0; i < order.size(); i++)
-            order[i] = i;
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                             return sweep.candidates[a].predictedMs <
-                                    sweep.candidates[b].predictedMs;
-                         });
-        const int k = std::max(
-            1, std::min(topK, static_cast<int>(picks.size())));
-        for (int i = 0; i < k; i++)
-            sweep.candidates[order[static_cast<size_t>(i)]].survived =
-                true;
-        sweep.candidates[0].survived = true; // score choice always
+        prune = [&](std::vector<SweepSlot> &slots) {
+            std::vector<size_t> order(slots.size());
+            std::iota(order.begin(), order.end(), size_t{0});
+            std::stable_sort(order.begin(), order.end(),
+                             [&](size_t a, size_t b) {
+                                 return sweep.candidates[a].predictedMs <
+                                        sweep.candidates[b].predictedMs;
+                             });
+            const size_t k = static_cast<size_t>(std::max(
+                1, std::min(topK, static_cast<int>(slots.size()))));
+            for (size_t i = 0; i < order.size(); i++)
+                slots[order[i]].survived = i < k;
+            slots[0].survived = true; // score choice always
+        };
     } else {
-        if (sweep.fallbackReason.empty())
-            sweep.fallbackReason = "no model";
-        for (PredictCandidate &c : sweep.candidates)
-            c.survived = true;
+        sweep.fallbackReason = "no model";
     }
 
     // Exact simulation of the survivors, concurrently and through the
     // tiered cache (the harvest observer fires on every genuine miss).
-    std::vector<size_t> evalIdx;
-    for (size_t i = 0; i < sweep.candidates.size(); i++) {
-        if (sweep.candidates[i].survived)
-            evalIdx.push_back(i);
-    }
-    CompileOptions fixed = base;
-    fixed.keepCandidates = false;
-    fixed.explainSearch = false;
-    fixed.strategy = Strategy::Fixed;
-    std::vector<double> measuredMs = parallelMap<double>(
-        static_cast<int64_t>(evalIdx.size()), [&](int64_t i) {
-            CompileOptions copts = fixed;
-            copts.fixedMapping =
-                sweep.candidates[evalIdx[static_cast<size_t>(i)]].decision;
-            return cachedCompileAndRun(gpu, prog, args, copts, eopts,
-                                       /*wantOutputs=*/false)
-                .totalMs;
-        });
-
-    // Serial fold in pick order: identical tie-breaking to the full
-    // sweep, so pruned and full agree whenever the winner survives.
-    bool haveBest = false;
-    for (size_t i = 0; i < evalIdx.size(); i++) {
-        PredictCandidate &c = sweep.candidates[evalIdx[i]];
-        c.exactMs = measuredMs[i];
-        if (!haveBest || c.exactMs < sweep.bestMs) {
-            sweep.bestMs = c.exactMs;
-            sweep.best = c.decision;
-            haveBest = true;
+    const SweepRun<double> run =
+        sweepMappings(gpu, prog, args, base, picks, prune);
+    NPP_ASSERT(run.best >= 0, "predictive sweep executed no candidates");
+    for (size_t i = 0; i < picks.size(); i++) {
+        PredictCandidate &c = sweep.candidates[i];
+        c.survived = run.results[i].has_value();
+        if (c.survived) {
+            c.exactMs = *run.results[i];
+            sweep.survivors++;
         }
     }
-    NPP_ASSERT(haveBest, "predictive sweep executed no candidates");
-
-    sweep.survivors = static_cast<int64_t>(evalIdx.size());
+    sweep.best = picks[static_cast<size_t>(run.best)].decision;
+    sweep.bestMs = *run.results[static_cast<size_t>(run.best)];
     sweep.pruned =
         static_cast<int64_t>(sweep.candidates.size()) - sweep.survivors;
     NPP_TRACE_COUNT("predict.survivors",

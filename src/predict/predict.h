@@ -76,21 +76,22 @@ struct PredictSweep
     int64_t pruned = 0;    //!< candidates skipped on the model's word
     int64_t survivors = 0; //!< candidates exactly simulated
 
-    /** Explain-report annotations (SearchExplanation::predictNote /
-     *  predictJson — same contract as the fleet/consolidation layers). */
-    std::string note() const;
-    std::string toJson() const;
+    /** The "predict" explain section: ranking, pruning verdicts and
+     *  the exactly-simulated survivors. */
+    ExplainSection section() const;
 };
 
 /**
  * Run the empirical mapping sweep for `prog`: enumerate + score via
  * Algorithm 1 (keepCandidates), take the top-kPredictUniverse distinct
- * candidates (score choice first), then either exactly simulate all of
- * them (`model` null → full sweep) or only the predictor's top-k
- * (score choice always survives). The winner is the minimum exact time,
- * folded serially in candidate order, so full and pruned sweeps agree
- * whenever the true winner survives. Evaluations flow through the
- * tiered EvalCache and fire the harvest observer like any other.
+ * candidates (score choice first) — autotune's pick list — and run
+ * them through the sweep engine (sim/sweep.h) with the model as its
+ * pruner: without a model (`model` null) every candidate is exactly
+ * simulated; with one, only the predictor's top-k (score choice always
+ * survives). The winner is the minimum exact time, folded serially in
+ * candidate order, so full and pruned sweeps agree whenever the true
+ * winner survives. Evaluations flow through the tiered EvalCache and
+ * fire the harvest observer like any other.
  */
 PredictSweep
 predictiveSweep(const Gpu &gpu, const Program &prog, const Bindings &args,

@@ -1,8 +1,7 @@
 /**
  * @file
  * Minimal JSON support for the mapping service's request protocol: a
- * tolerant recursive-descent parser producing a small value tree, plus
- * the string-escaping helper used when rendering responses. This is a
+ * tolerant recursive-descent parser producing a small value tree. This is a
  * deliberate subset — objects, arrays, strings (with the standard
  * escapes; \uXXXX decodes the ASCII range and replaces the rest),
  * numbers, booleans, null — because requests are one line of
@@ -18,6 +17,10 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+// jsonEscape (the response string escaper) lives in support/strings;
+// it stays reachable through this header for protocol users.
+#include "support/strings.h"
 
 namespace npp {
 
@@ -62,9 +65,6 @@ struct JsonValue
  */
 std::optional<JsonValue> parseJson(const std::string &text,
                                    std::string *error = nullptr);
-
-/** Escape a string for embedding inside a JSON string literal. */
-std::string jsonEscape(const std::string &s);
 
 } // namespace npp
 

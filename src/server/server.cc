@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -26,6 +27,7 @@
 #include "sim/fleet.h"
 #include "sim/gpu.h"
 #include "support/logging.h"
+#include "support/parallel.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
@@ -51,16 +53,12 @@ struct EvalOutcome
     std::string explanation;
     SimReport report;
     EvalTier tier = EvalTier::Simulated;
-    /** Multi-device sweep result (requests with "devices" > 1). */
+    /** Fleet size swept (requests with "devices" > 1). */
     int devices = 1;
-    std::string fleetJson;
-    /** Consolidation sweep result (programs with a runtime-sized inner
-     *  domain); empty for static-shaped programs. */
-    std::string consolidationJson;
-    /** Predictive-pruning provenance (NPP_PREDICT=1 servers): the
-     *  ranked candidates, survive/prune verdicts, and empirical winner.
-     *  Empty when the predictor is off. */
-    std::string predictJson;
+    /** The sweeps' explain sections, in run order: fleet (devices > 1),
+     *  consolidation (runtime-sized inner domains), predict
+     *  (NPP_PREDICT=1 servers). Each is a response member. */
+    std::vector<ExplainSection> sections;
 };
 
 bool
@@ -130,7 +128,16 @@ struct MappingServer::Impl
     int listenFd = -1;
     int stopPipe[2] = {-1, -1};
     std::thread acceptThread;
-    std::vector<std::thread> connThreads;
+
+    /** One connection thread. Setting `done` is the thread's last act,
+     *  so a done thread joins at once. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    /** Live connection threads (std::list: elements never move). */
+    std::list<Connection> connections;
     std::vector<int> connFds; //!< open connections, for shutdown on stop
     std::mutex connMutex;
     std::atomic<bool> stopping{false};
@@ -153,6 +160,14 @@ struct MappingServer::Impl
     std::atomic<uint64_t> diskHits{0};
 
     explicit Impl(ServeOptions o) : opts(std::move(o)) {}
+
+    /** Count a failed request and render its error line. */
+    std::string
+    reject(const JsonValue *req, const std::string &message)
+    {
+        errors.fetch_add(1);
+        return errorResponse(req, message);
+    }
 
     std::shared_ptr<const EvalOutcome>
     evaluate(const DemoProgram &demo, const CompileOptions &copts,
@@ -177,39 +192,30 @@ struct MappingServer::Impl
         out->score = compiled.spec.score;
         out->dop = compiled.spec.dop;
         out->fusedPatterns = compiled.fusedPatterns;
+        std::vector<ExplainSection> &sections = compiled.explanation.sections;
         if (devices > 1) {
-            // Score (deviceCount, splitPoint) across the fleet and fold
-            // the verdicts into the decision report.
-            const FleetChoice choice =
-                searchFleet(gpu, compiled.spec, args, fleetK20c(devices),
-                            eopts, specSeed);
+            // Score (deviceCount, splitPoint) across the fleet.
             out->devices = devices;
-            out->fleetJson = fleetChoiceJson(choice);
-            compiled.explanation.fleetNote = formatFleetChoice(choice);
-            compiled.explanation.fleetJson = out->fleetJson;
+            sections.push_back(searchFleet(gpu, compiled.spec, args,
+                                           fleetK20c(devices), eopts,
+                                           specSeed)
+                                   .section());
         }
         if (hasDynamicInnerExtent(*demo.prog)) {
-            // Runtime-sized inner domains: sweep the consolidation
-            // candidates so the response names why consolidation won
+            // Runtime-sized inner domains: name why consolidation won
             // or lost against the best static mapping.
-            const ConsolidationChoice choice = searchConsolidation(
-                gpu, *demo.prog, args, copts, eopts);
-            out->consolidationJson = consolidationChoiceJson(choice);
-            compiled.explanation.consolidationNote =
-                formatConsolidationChoice(choice);
-            compiled.explanation.consolidationJson =
-                out->consolidationJson;
+            sections.push_back(
+                searchConsolidation(gpu, *demo.prog, args, copts, eopts)
+                    .section());
         }
         if (PredictRuntime::instance().active()) {
-            // Predictive provenance: rank + prune + exactly simulate the
-            // survivors, and report every verdict alongside the
-            // score-based selection the response is built from.
-            const PredictSweep sweep = PredictRuntime::instance().sweep(
-                gpu, *demo.prog, args, copts);
-            out->predictJson = sweep.toJson();
-            compiled.explanation.predictNote = sweep.note();
-            compiled.explanation.predictJson = out->predictJson;
+            // Predictive provenance: every rank/prune verdict alongside
+            // the score-based selection the response is built from.
+            sections.push_back(PredictRuntime::instance()
+                                   .sweep(gpu, *demo.prog, args, copts)
+                                   .section());
         }
+        out->sections = sections;
         out->explanation = formatSearchExplanation(compiled.explanation);
         return out;
     }
@@ -219,32 +225,24 @@ struct MappingServer::Impl
     {
         const std::string program =
             req.get("program") ? req.get("program")->asString() : "";
-        if (program.empty()) {
-            errors.fetch_add(1);
-            return errorResponse(&req, "missing \"program\"");
-        }
+        if (program.empty())
+            return reject(&req, "missing \"program\"");
 
         Strategy strategy = Strategy::MultiDim;
         std::string err;
         const std::string strategyStr =
             req.get("strategy") ? req.get("strategy")->asString() : "";
-        if (!parseStrategy(strategyStr, &strategy, &err)) {
-            errors.fetch_add(1);
-            return errorResponse(&req, err);
-        }
+        if (!parseStrategy(strategyStr, &strategy, &err))
+            return reject(&req, err);
 
         std::map<std::string, int64_t> sizes;
         if (const JsonValue *sz = req.get("sizes")) {
-            if (!sz->isObject()) {
-                errors.fetch_add(1);
-                return errorResponse(&req, "\"sizes\" must be an object");
-            }
+            if (!sz->isObject())
+                return reject(&req, "\"sizes\" must be an object");
             for (const auto &[key, val] : sz->members) {
-                if (!val.isNumber()) {
-                    errors.fetch_add(1);
-                    return errorResponse(
+                if (!val.isNumber())
+                    return reject(
                         &req, fmt("size \"{}\" must be a number", key));
-                }
                 sizes[key] = val.asInt();
             }
         }
@@ -256,10 +254,8 @@ struct MappingServer::Impl
         // alone pays.
         std::unique_ptr<DemoProgram> demo =
             buildDemoProgram(program, sizes, &err);
-        if (!demo) {
-            errors.fetch_add(1);
-            return errorResponse(&req, err);
-        }
+        if (!demo)
+            return reject(&req, err);
         CompileOptions copts;
         copts.strategy = strategy;
         copts.paramValues = demo->params;
@@ -272,20 +268,19 @@ struct MappingServer::Impl
         demo->bind(args);
         int devices = 1;
         if (const JsonValue *dv = req.get("devices")) {
-            if (!dv->isNumber() || dv->asInt() < 1 || dv->asInt() > 32) {
-                errors.fetch_add(1);
-                return errorResponse(
-                    &req, "\"devices\" must be an integer in [1, 32]");
-            }
+            if (!dv->isNumber() || dv->asInt() < 1 ||
+                dv->asInt() > kMaxFleetDevices)
+                return reject(&req,
+                              fmt("\"devices\" must be an integer in "
+                                  "[1, {}]",
+                                  kMaxFleetDevices));
             devices = static_cast<int>(dv->asInt());
         }
 
         ExecOptions eopts;
         eopts.metricsOnly = true; // report-only: race-free, classed speed
-        const uint64_t specSeed = EvalCache::combine(
-            EvalCache::combine(EvalCache::hashProgram(*demo->prog),
-                               EvalCache::hashCompileOptions(copts)),
-            EvalCache::hashDevice(gpu.config()));
+        const uint64_t specSeed =
+            EvalCache::specSeed(*demo->prog, copts, gpu.config());
         uint64_t key = EvalCache::combine(
             EvalCache::combine(specSeed, EvalCache::hashBindings(args)),
             EvalCache::hashExec(eopts));
@@ -326,10 +321,8 @@ struct MappingServer::Impl
         std::shared_ptr<const EvalOutcome> outcome = future.get();
 
         evaluations.fetch_add(1);
-        if (!outcome->ok) {
-            errors.fetch_add(1);
-            return errorResponse(&req, outcome->error);
-        }
+        if (!outcome->ok)
+            return reject(&req, outcome->error);
         if (leader) {
             switch (outcome->tier) {
             case EvalTier::Simulated: simulations.fetch_add(1); break;
@@ -350,16 +343,10 @@ struct MappingServer::Impl
             resp += fmt("\"explanation\":\"{}\",",
                         jsonEscape(outcome->explanation));
         resp += fmt("\"provenance\":\"{}\",", evalTierName(outcome->tier));
-        if (outcome->devices > 1) {
+        if (outcome->devices > 1)
             resp += fmt("\"devices\":{},", outcome->devices);
-            resp += "\"fleet\":" + outcome->fleetJson + ",";
-        }
-        if (!outcome->consolidationJson.empty()) {
-            resp += "\"consolidation\":" + outcome->consolidationJson +
-                    ",";
-        }
-        if (!outcome->predictJson.empty())
-            resp += "\"predict\":" + outcome->predictJson + ",";
+        for (const ExplainSection &section : outcome->sections)
+            resp += jsonQuote(section.key) + ":" + section.json + ",";
         resp += fmt("\"coalesced\":{},", leader ? "false" : "true");
         resp += fmt("\"coalesce_model\":\"{}\",", kCoalesceModelVersion);
         resp += "\"report\":" +
@@ -398,15 +385,10 @@ struct MappingServer::Impl
 
         std::string parseError;
         std::optional<JsonValue> req = parseJson(line, &parseError);
-        if (!req) {
-            errors.fetch_add(1);
-            return errorResponse(nullptr,
-                                 "malformed request: " + parseError);
-        }
-        if (!req->isObject()) {
-            errors.fetch_add(1);
-            return errorResponse(nullptr, "request must be a JSON object");
-        }
+        if (!req)
+            return reject(nullptr, "malformed request: " + parseError);
+        if (!req->isObject())
+            return reject(nullptr, "request must be a JSON object");
 
         const std::string type =
             req->get("type") ? req->get("type")->asString("eval") : "eval";
@@ -422,13 +404,16 @@ struct MappingServer::Impl
             return "{\"ok\":true," + echoPrefix(*req) +
                    "\"type\":\"shutdown\"}";
         }
-        errors.fetch_add(1);
-        return errorResponse(&*req, fmt("unknown request type \"{}\"", type));
+        return reject(&*req, fmt("unknown request type \"{}\"", type));
     }
 
     void
     serveConnection(int fd)
     {
+        // The server's parallelism is its concurrent connections: each
+        // one runs its sweeps inline instead of queueing them on the
+        // shared pool behind every other connection's.
+        InlineParallelScope inlineSweeps;
         std::string buffer;
         char chunk[4096];
         bool shutdown = false;
@@ -511,9 +496,22 @@ struct MappingServer::Impl
                 continue;
             }
             std::lock_guard<std::mutex> lock(connMutex);
+            // Reap connections that already hung up, so a server that
+            // answers one-shot clients holds no thread per past request.
+            for (auto it = connections.begin(); it != connections.end();) {
+                if (it->done.load()) {
+                    it->thread.join();
+                    it = connections.erase(it);
+                } else {
+                    ++it;
+                }
+            }
             connFds.push_back(fd);
-            connThreads.emplace_back(
-                [this, fd] { serveConnection(fd); });
+            Connection &conn = connections.emplace_back();
+            conn.thread = std::thread([this, fd, &conn] {
+                serveConnection(fd);
+                conn.done.store(true);
+            });
         }
     }
 };
@@ -588,14 +586,13 @@ MappingServer::wait()
         im.acceptThread.join();
     // Joining must not hold connMutex: a connection thread that carried
     // a shutdown request takes the lock inside signalStop().
-    std::vector<std::thread> threads;
+    std::list<Impl::Connection> connections;
     {
         std::lock_guard<std::mutex> lock(im.connMutex);
-        threads.swap(im.connThreads);
+        connections.swap(im.connections);
     }
-    for (auto &t : threads)
-        if (t.joinable())
-            t.join();
+    for (Impl::Connection &conn : connections)
+        conn.thread.join();
 }
 
 void

@@ -1,9 +1,10 @@
 #include "sim/consolidation.h"
 
-#include <iomanip>
+#include <algorithm>
 #include <sstream>
 
 #include "analysis/consolidate.h"
+#include "sim/sweep.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
@@ -11,50 +12,22 @@ namespace npp {
 
 namespace {
 
-std::string
-fmtMs(double ms)
-{
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(4) << ms;
-    return os.str();
-}
-
-std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out + "\"";
-}
-
 /** Compile + metrics-only cached evaluation of one candidate. */
 ConsolidationCandidate
 evalCandidate(const Gpu &gpu, const Program &prog, const Bindings &args,
               CompileOptions copts, const ExecOptions &eopts,
-              std::string label)
+              ConsolidationCandidate cand)
 {
-    ConsolidationCandidate cand;
-    cand.label = std::move(label);
-    cand.strategy = copts.strategy;
-    cand.granularity = copts.binGranularity;
     copts.keepCandidates = false;
     copts.explainSearch = false;
 
     const CompileResult compiled = compileProgram(prog, gpu.config(), copts);
-    const uint64_t specSeed = EvalCache::combine(
-        EvalCache::combine(EvalCache::hashProgram(prog),
-                           EvalCache::hashCompileOptions(copts)),
-        EvalCache::hashDevice(gpu.config()));
-
     ExecOptions scoreOpts = eopts;
     scoreOpts.metricsOnly = true;
-    const SimReport r = cachedRun(gpu, compiled.spec, args, scoreOpts,
-                                  specSeed, /*wantOutputs=*/false,
-                                  &cand.tier);
+    const SimReport r =
+        cachedRun(gpu, compiled.spec, args, scoreOpts,
+                  EvalCache::specSeed(prog, copts, gpu.config()),
+                  /*wantOutputs=*/false, &cand.tier);
     cand.feasible = true;
     cand.totalMs = r.totalMs;
     cand.queueBuildMs = r.queueBuildMs;
@@ -73,86 +46,115 @@ searchConsolidation(const Gpu &gpu, const Program &prog,
     NPP_TRACE_SCOPE("consolidation.search");
     ConsolidationChoice choice;
 
-    // Static baseline: the mapping the caller's options would launch
-    // (the searched multi-dim mapping unless a fixed one was given).
-    CompileOptions staticOpts = base;
-    if (staticOpts.strategy == Strategy::Consolidate)
-        staticOpts.strategy = Strategy::MultiDim;
-    choice.candidates.push_back(evalCandidate(
-        gpu, prog, args, staticOpts, eopts,
-        fmt("static ({})", strategyName(staticOpts.strategy))));
-    choice.staticMs = choice.candidates[0].totalMs;
-    choice.bestMs = choice.staticMs;
+    // Generator. The static baseline: the mapping the caller's options
+    // would launch (the searched multi-dim mapping unless a fixed one
+    // was given).
+    std::vector<CompileOptions> opts(1, base);
+    if (opts[0].strategy == Strategy::Consolidate)
+        opts[0].strategy = Strategy::MultiDim;
+    ConsolidationCandidate baseline;
+    baseline.label = fmt("static ({})", strategyName(opts[0].strategy));
+    baseline.strategy = opts[0].strategy;
+    baseline.granularity = opts[0].binGranularity;
+    choice.candidates.push_back(baseline);
 
-    if (!hasDynamicInnerExtent(prog)) {
-        choice.verdict = "not consolidated: no runtime-sized inner "
-                         "domain (every extent is known at launch)";
-        return choice;
-    }
-    const std::string reason = consolidationEligibility(prog);
-    if (!reason.empty()) {
+    // Then the bin granularities, or the eligibility verdict that
+    // hard-filters them.
+    const bool dynamic = hasDynamicInnerExtent(prog);
+    const std::string reason =
+        dynamic ? consolidationEligibility(prog) : std::string();
+    if (dynamic && !reason.empty()) {
         ConsolidationCandidate cand;
         cand.label = "consolidate";
         cand.strategy = Strategy::Consolidate;
         cand.verdict = reason;
-        choice.candidates.push_back(std::move(cand));
+        choice.candidates.push_back(cand);
+    } else if (dynamic) {
+        for (BinGranularity g :
+             {BinGranularity::Warp, BinGranularity::Block}) {
+            CompileOptions copts = base;
+            copts.strategy = Strategy::Consolidate;
+            copts.binGranularity = g;
+            opts.push_back(copts);
+            ConsolidationCandidate cand;
+            cand.label = fmt("{}-bin queues", binGranularityName(g));
+            cand.strategy = Strategy::Consolidate;
+            cand.granularity = g;
+            choice.candidates.push_back(cand);
+        }
+    }
+    std::vector<SweepSlot> slots(choice.candidates.size());
+    if (!reason.empty())
+        slots[1].feasible = false;
+
+    const SweepRun<ConsolidationCandidate> run =
+        runSweep<ConsolidationCandidate>(
+            std::move(slots),
+            [&](size_t i) {
+                return evalCandidate(gpu, prog, args, opts[i], eopts,
+                                     choice.candidates[i]);
+            },
+            [](const ConsolidationCandidate &c) { return c.totalMs; });
+    for (size_t i = 0; i < choice.candidates.size(); i++) {
+        if (run.results[i])
+            choice.candidates[i] = *run.results[i];
+    }
+    choice.staticMs = choice.candidates[0].totalMs;
+    choice.bestMs = choice.staticMs;
+
+    if (!dynamic) {
+        choice.verdict = "not consolidated: no runtime-sized inner "
+                         "domain (every extent is known at launch)";
+        return choice;
+    }
+    if (!reason.empty()) {
         choice.verdict = "not consolidated: " + reason;
         return choice;
     }
 
-    // Track the winner by index: each push_back may reallocate the
-    // candidate vector, so references into it do not survive the loop.
-    size_t bestIdx = 0;
-    for (BinGranularity g :
-         {BinGranularity::Warp, BinGranularity::Block}) {
-        CompileOptions copts = base;
-        copts.strategy = Strategy::Consolidate;
-        copts.binGranularity = g;
-        choice.candidates.push_back(evalCandidate(
-            gpu, prog, args, copts, eopts,
-            fmt("{}-bin queues", binGranularityName(g))));
-        if (bestIdx == 0 || choice.candidates.back().totalMs <
-                                choice.candidates[bestIdx].totalMs)
-            bestIdx = choice.candidates.size() - 1;
-    }
-    const ConsolidationCandidate *best =
-        bestIdx > 0 ? &choice.candidates[bestIdx] : nullptr;
-
-    if (best && best->totalMs < choice.staticMs) {
+    // The fold's winner beats the baseline strictly (the baseline is
+    // first in list order, so it keeps ties).
+    if (run.best > 0) {
+        const ConsolidationCandidate &best =
+            choice.candidates[static_cast<size_t>(run.best)];
         choice.consolidated = true;
-        choice.granularity = best->granularity;
-        choice.bestMs = best->totalMs;
-        choice.speedup = choice.staticMs / std::max(best->totalMs, 1e-12);
+        choice.granularity = best.granularity;
+        choice.bestMs = best.totalMs;
+        choice.speedup = choice.staticMs / std::max(best.totalMs, 1e-12);
         choice.verdict =
             fmt("consolidated: {}-bin queues beat the best static "
                 "mapping ({}x; bin fill {}, queue build {} ms)",
-                binGranularityName(best->granularity),
-                fmtMs(choice.speedup), fixed(best->binFill, 3),
-                fmtMs(best->queueBuildMs));
+                binGranularityName(best.granularity),
+                fixed(choice.speedup, 4), fixed(best.binFill, 3),
+                fixed(best.queueBuildMs, 4));
     } else {
-        const double bestConsMs = best ? best->totalMs : 0.0;
+        const double bestConsMs = std::min(choice.candidates[1].totalMs,
+                                           choice.candidates[2].totalMs);
         choice.verdict = fmt(
             "not consolidated: queue build outweighs the skew savings "
             "(best static {} ms vs consolidated {} ms)",
-            fmtMs(choice.staticMs), fmtMs(bestConsMs));
+            fixed(choice.staticMs, 4), fixed(bestConsMs, 4));
         choice.speedup =
             choice.bestMs > 0.0 ? choice.staticMs / choice.bestMs : 1.0;
     }
     return choice;
 }
 
-std::string
-formatConsolidationChoice(const ConsolidationChoice &choice)
+ExplainSection
+ConsolidationChoice::section() const
 {
+    ExplainSection out;
+    out.key = "consolidation";
+
     std::ostringstream os;
     os << "consolidation sweep (runtime-sized inner domains):\n";
-    for (const ConsolidationCandidate &c : choice.candidates) {
+    for (const ConsolidationCandidate &c : candidates) {
         os << "  " << c.label;
         if (c.feasible) {
-            os << "  " << fmtMs(c.totalMs) << " ms";
+            os << "  " << fixed(c.totalMs, 4) << " ms";
             if (c.strategy == Strategy::Consolidate) {
                 os << "  (bin fill " << fixed(c.binFill, 3)
-                   << ", queue build " << fmtMs(c.queueBuildMs)
+                   << ", queue build " << fixed(c.queueBuildMs, 4)
                    << " ms)";
             }
         } else {
@@ -160,42 +162,32 @@ formatConsolidationChoice(const ConsolidationChoice &choice)
         }
         os << "\n";
     }
-    os << "selected: " << choice.verdict << "\n";
-    return os.str();
-}
+    os << "selected: " << verdict << "\n";
+    out.text = os.str();
 
-std::string
-consolidationChoiceJson(const ConsolidationChoice &choice)
-{
-    std::ostringstream os;
-    os << "{\"consolidated\":"
-       << (choice.consolidated ? "true" : "false");
-    if (choice.consolidated) {
-        os << ",\"granularity\":"
-           << jsonStr(binGranularityName(choice.granularity));
-    }
-    os << ",\"verdict\":" << jsonStr(choice.verdict)
-       << ",\"static_ms\":" << choice.staticMs
-       << ",\"best_ms\":" << choice.bestMs
-       << ",\"speedup\":" << choice.speedup << ",\"candidates\":[";
-    bool first = true;
-    for (const ConsolidationCandidate &c : choice.candidates) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"label\":" << jsonStr(c.label)
+    std::ostringstream js;
+    js << "{\"consolidated\":" << (consolidated ? "true" : "false");
+    if (consolidated)
+        js << ",\"granularity\":" << jsonQuote(binGranularityName(granularity));
+    js << ",\"verdict\":" << jsonQuote(verdict)
+       << ",\"static_ms\":" << staticMs << ",\"best_ms\":" << bestMs
+       << ",\"speedup\":" << speedup << ",\"candidates\":[";
+    for (size_t i = 0; i < candidates.size(); i++) {
+        const ConsolidationCandidate &c = candidates[i];
+        js << (i ? "," : "") << "{\"label\":" << jsonQuote(c.label)
            << ",\"feasible\":" << (c.feasible ? "true" : "false");
         if (c.feasible) {
-            os << ",\"total_ms\":" << c.totalMs
+            js << ",\"total_ms\":" << c.totalMs
                << ",\"queue_build_ms\":" << c.queueBuildMs
                << ",\"bin_fill\":" << c.binFill;
         } else {
-            os << ",\"verdict\":" << jsonStr(c.verdict);
+            js << ",\"verdict\":" << jsonQuote(c.verdict);
         }
-        os << "}";
+        js << "}";
     }
-    os << "]}";
-    return os.str();
+    js << "]}";
+    out.json = js.str();
+    return out;
 }
 
 } // namespace npp

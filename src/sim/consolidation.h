@@ -4,10 +4,10 @@
  * score the searched static mapping against the warp- and block-bin
  * consolidated mappings (analysis/consolidate.h) and report which one
  * wins and why. The sweep is the consolidation analogue of the
- * multi-device fleet sweep (sim/fleet.h): its verdicts feed the
- * --explain report (SearchExplanation::consolidationNote/Json) so a
- * caller can see the queue-build cost, bin fill, and the margin by
- * which consolidation beat — or lost to — the best static mapping.
+ * multi-device fleet sweep (sim/fleet.h) and runs on the same sweep
+ * engine (sim/sweep.h): its explain section shows the queue-build
+ * cost, bin fill, and the margin by which consolidation beat — or lost
+ * to — the best static mapping.
  */
 
 #ifndef NPP_SIM_CONSOLIDATION_H
@@ -49,10 +49,16 @@ struct ConsolidationChoice
     double bestMs = 0.0;   //!< winner's modeled time
     double speedup = 1.0;  //!< staticMs / bestMs
     std::vector<ConsolidationCandidate> candidates;
+
+    /** The "consolidation" explain section: every candidate's time or
+     *  eligibility verdict, and the selection. */
+    ExplainSection section() const;
 };
 
 /**
- * Run the sweep. Evaluations are metrics-only and EvalCache-memoized;
+ * Run the sweep: the static baseline plus, for an eligible program,
+ * the warp- and block-bin candidates, evaluated concurrently through
+ * the sweep engine. Evaluations are metrics-only and EvalCache-memoized;
  * `base` carries the caller's compile options (prealloc, objective,
  * raw pointers) so the static baseline matches what the caller would
  * have launched. A program without a runtime-sized inner domain — or
@@ -64,12 +70,6 @@ ConsolidationChoice searchConsolidation(const Gpu &gpu,
                                         const Bindings &args,
                                         const CompileOptions &base,
                                         const ExecOptions &eopts);
-
-/** Human-readable sweep table (--explain text form). */
-std::string formatConsolidationChoice(const ConsolidationChoice &choice);
-
-/** Machine-readable sweep object (--explain JSON form). */
-std::string consolidationChoiceJson(const ConsolidationChoice &choice);
 
 } // namespace npp
 

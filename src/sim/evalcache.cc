@@ -4,18 +4,22 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "ir/printer.h"
 #include "support/env.h"
 #include "support/logging.h"
+#include "support/parallel.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
@@ -747,6 +751,14 @@ EvalCache::combine(uint64_t a, uint64_t b)
     return mix(mix(kFnvBasis, a), b);
 }
 
+uint64_t
+EvalCache::specSeed(const Program &prog, const CompileOptions &copts,
+                    const DeviceConfig &device)
+{
+    return combine(combine(hashProgram(prog), hashCompileOptions(copts)),
+                   hashDevice(device));
+}
+
 std::optional<SimReport>
 EvalCache::find(uint64_t key, bool wantOutputs, const Bindings *args,
                 EvalTier *tierOut)
@@ -1014,6 +1026,44 @@ notifyExactEval(const ExactEvalInfo &info)
         obs(info);
 }
 
+/** Keys whose lookup-or-simulate is running, one caller per key: a
+ *  concurrent caller for the same key waits and then replays what the
+ *  first one stored. Parallel sweeps whose candidates share an
+ *  evaluation (fleet candidates sharing a shard) so simulate it once,
+ *  and the hit/miss counters read as in a serial run. */
+std::mutex gClaimMutex;
+std::condition_variable gClaimReleased;
+std::unordered_set<uint64_t> gClaimedKeys;
+
+class KeyClaim
+{
+  public:
+    explicit KeyClaim(uint64_t key) : key_(key)
+    {
+        std::unique_lock<std::mutex> lock(gClaimMutex);
+        while (!gClaimedKeys.insert(key_).second)
+            gClaimReleased.wait(lock);
+    }
+
+    ~KeyClaim()
+    {
+        {
+            std::lock_guard<std::mutex> lock(gClaimMutex);
+            gClaimedKeys.erase(key_);
+        }
+        gClaimReleased.notify_all();
+    }
+
+    KeyClaim(const KeyClaim &) = delete;
+    KeyClaim &operator=(const KeyClaim &) = delete;
+
+  private:
+    uint64_t key_;
+    /** A claim holder never waits on the shared pool, whose workers
+     *  may be waiting on this claim. */
+    InlineParallelScope inlineOnly_;
+};
+
 } // namespace
 
 void
@@ -1023,43 +1073,63 @@ setExactEvalObserver(ExactEvalObserver observer)
     gObserver = std::move(observer);
 }
 
+namespace {
+
+/** The memoized evaluation behind both entry points: probe the tiers
+ *  under a claim on the key, else simulate, store, and tell the
+ *  observer. `seed` runs only with the cache on (hashing a program is
+ *  not free). */
+template <typename Seed, typename Simulate>
+SimReport
+memoized(const Gpu &gpu, const Bindings &args, ExecOptions eo,
+         bool wantOutputs, EvalTier *tierOut, ExactEvalInfo info,
+         const Seed &seed, const Simulate &simulate)
+{
+    EvalCache &cache = EvalCache::instance();
+    eo.metricsOnly = !wantOutputs;
+    if (tierOut)
+        *tierOut = EvalTier::Simulated;
+    const bool cached = cache.enabled();
+    uint64_t key = 0;
+    std::optional<KeyClaim> claim;
+    if (cached) {
+        key = EvalCache::combine(
+            EvalCache::combine(seed(), EvalCache::hashBindings(args)),
+            EvalCache::hashExec(eo));
+        claim.emplace(key);
+        if (auto hit = cache.find(key, wantOutputs, &args, tierOut))
+            return *hit;
+    }
+    SimReport report = simulate(eo);
+    if (cached)
+        cache.store(key, report, wantOutputs ? &args : nullptr);
+    info.eopts = &eo;
+    info.device = &gpu.config();
+    info.report = &report;
+    notifyExactEval(info);
+    return report;
+}
+
+} // namespace
+
 SimReport
 cachedCompileAndRun(const Gpu &gpu, const Program &prog,
                     const Bindings &args, const CompileOptions &copts,
                     const ExecOptions &eopts, bool wantOutputs,
                     EvalTier *tierOut)
 {
-    EvalCache &cache = EvalCache::instance();
-    ExecOptions eo = eopts;
-    eo.metricsOnly = !wantOutputs;
-    if (tierOut)
-        *tierOut = EvalTier::Simulated;
     // The executed mapping is nameable without compiling only under
     // Strategy::Fixed (compile may still apply hard spans; our own
     // sweeps enumerate hard-feasible candidates, so the two agree).
     const MappingDecision *mapping =
         copts.strategy == Strategy::Fixed ? &copts.fixedMapping : nullptr;
-    if (!cache.enabled()) {
-        SimReport report = gpu.compileAndRun(prog, args, copts, eo);
-        notifyExactEval({&prog, mapping, &copts.paramValues, &eo,
-                         &gpu.config(), &report});
-        return report;
-    }
-
-    const uint64_t specSeed = EvalCache::combine(
-        EvalCache::combine(EvalCache::hashProgram(prog),
-                           EvalCache::hashCompileOptions(copts)),
-        EvalCache::hashDevice(gpu.config()));
-    const uint64_t key = EvalCache::combine(
-        EvalCache::combine(specSeed, EvalCache::hashBindings(args)),
-        EvalCache::hashExec(eo));
-    if (auto hit = cache.find(key, wantOutputs, &args, tierOut))
-        return *hit;
-    SimReport report = gpu.compileAndRun(prog, args, copts, eo);
-    cache.store(key, report, wantOutputs ? &args : nullptr);
-    notifyExactEval({&prog, mapping, &copts.paramValues, &eo,
-                     &gpu.config(), &report});
-    return report;
+    return memoized(
+        gpu, args, eopts, wantOutputs, tierOut,
+        {&prog, mapping, &copts.paramValues},
+        [&] { return EvalCache::specSeed(prog, copts, gpu.config()); },
+        [&](const ExecOptions &eo) {
+            return gpu.compileAndRun(prog, args, copts, eo);
+        });
 }
 
 SimReport
@@ -1067,28 +1137,10 @@ cachedRun(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
           const ExecOptions &eopts, uint64_t specSeed, bool wantOutputs,
           EvalTier *tierOut)
 {
-    EvalCache &cache = EvalCache::instance();
-    ExecOptions eo = eopts;
-    eo.metricsOnly = !wantOutputs;
-    if (tierOut)
-        *tierOut = EvalTier::Simulated;
-    if (!cache.enabled()) {
-        SimReport report = gpu.run(spec, args, eo);
-        notifyExactEval({spec.prog, &spec.mapping, nullptr, &eo,
-                         &gpu.config(), &report});
-        return report;
-    }
-
-    const uint64_t key = EvalCache::combine(
-        EvalCache::combine(specSeed, EvalCache::hashBindings(args)),
-        EvalCache::hashExec(eo));
-    if (auto hit = cache.find(key, wantOutputs, &args, tierOut))
-        return *hit;
-    SimReport report = gpu.run(spec, args, eo);
-    cache.store(key, report, wantOutputs ? &args : nullptr);
-    notifyExactEval({spec.prog, &spec.mapping, nullptr, &eo,
-                     &gpu.config(), &report});
-    return report;
+    return memoized(
+        gpu, args, eopts, wantOutputs, tierOut,
+        {spec.prog, &spec.mapping, nullptr}, [&] { return specSeed; },
+        [&](const ExecOptions &eo) { return gpu.run(spec, args, eo); });
 }
 
 } // namespace npp

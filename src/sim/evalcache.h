@@ -117,6 +117,11 @@ class EvalCache
      *  satisfy one another. */
     static uint64_t hashFleet(const FleetConfig &fleet);
     static uint64_t combine(uint64_t a, uint64_t b);
+    /** The cachedRun seed of a spec: combine(combine(program, compile
+     *  options), device) — identifies how the spec was produced. */
+    static uint64_t specSeed(const Program &prog,
+                             const CompileOptions &copts,
+                             const DeviceConfig &device);
     /** @} */
 
     bool enabled() const { return capacityBytes_ > 0; }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <sstream>
 
 #include "runtime/eval.h"
+#include "sim/sweep.h"
 #include "sim/timing.h"
 #include "support/strings.h"
 #include "support/trace.h"
@@ -52,14 +52,6 @@ shardOutputBytes(const KernelSpec &spec, const Bindings &args,
                    (static_cast<double>(plan.shards[d].size()) / total);
     }
     return bytes;
-}
-
-std::string
-fmtMs(double ms)
-{
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(4) << ms;
-    return os.str();
 }
 
 } // namespace
@@ -148,118 +140,125 @@ searchFleet(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
     const int64_t unit = outerShardUnit(spec.mapping);
     const int maxDevices = std::max(maxFleet.deviceCount, 1);
 
-    bool haveBest = false;
+    // Generator: (deviceCount, split) pairs with their partition
+    // verdicts, settled before any simulation.
+    std::vector<SweepSlot> slots;
+    std::vector<int64_t> requested; //!< split handed to runOnFleet
     for (int n = 1; n <= maxDevices; n++) {
-        FleetConfig fleet = maxFleet;
-        fleet.deviceCount = n;
         const std::vector<int64_t> splits =
             n == 1 ? std::vector<int64_t>{-1}
                    : splitPointCandidates(outerSize, n, unit);
         for (int64_t sp : splits) {
+            const ShardPlan plan =
+                partitionOuter(*spec.prog, spec.mapping, outerSize, n, sp);
             FleetCandidate cand;
             cand.deviceCount = n;
-            cand.splitPoint = sp;
-            FleetReport report = runOnFleet(gpu, spec, args, fleet,
-                                            scoreOpts, sp, specSeed);
-            cand.verdict = report.plan.verdict;
-            cand.feasible = report.plan.valid;
-            if (report.plan.valid) {
-                cand.fleetMs = report.fleetMs;
-                cand.splitPoint = report.plan.splitPoint;
-                // The balanced (-1) request resolves to a concrete split
-                // that one of the unit-rounded candidates may repeat;
-                // keep only the first occurrence.
-                bool dup = false;
-                for (const FleetCandidate &prev : choice.candidates)
-                    dup |= prev.deviceCount == n && prev.feasible &&
-                           prev.splitPoint == cand.splitPoint;
-                if (dup)
-                    continue;
-                if (n == 1)
-                    choice.singleMs = report.fleetMs;
-                if (!haveBest || report.fleetMs < choice.fleetMs) {
-                    haveBest = true;
-                    choice.deviceCount = n;
-                    choice.splitPoint =
-                        n == 1 ? -1 : report.plan.splitPoint;
-                    choice.fleetMs = report.fleetMs;
-                    choice.best = std::move(report);
-                }
-            }
-            const bool feasible = cand.feasible;
-            choice.candidates.push_back(std::move(cand));
+            cand.splitPoint = plan.valid ? plan.splitPoint : sp;
+            cand.feasible = plan.valid;
+            cand.verdict = plan.verdict;
+            // The balanced (-1) request resolves to a concrete split
+            // that one of the unit-rounded candidates may repeat; keep
+            // only the first occurrence.
+            bool dup = false;
+            for (const FleetCandidate &prev : choice.candidates)
+                dup |= cand.feasible && prev.feasible &&
+                       prev.deviceCount == n &&
+                       prev.splitPoint == cand.splitPoint;
+            if (dup)
+                continue;
+            choice.candidates.push_back(cand);
+            slots.push_back({plan.valid, true});
+            requested.push_back(sp);
             // One infeasible candidate per device count is enough: the
             // hard filter (domain too small, cross-outer dependence)
             // does not depend on the split point.
-            if (!feasible)
+            if (!plan.valid)
                 break;
         }
+    }
+
+    SweepRun<FleetReport> run = runSweep<FleetReport>(
+        std::move(slots),
+        [&](size_t i) {
+            FleetConfig fleet = maxFleet;
+            fleet.deviceCount = choice.candidates[i].deviceCount;
+            return runOnFleet(gpu, spec, args, fleet, scoreOpts,
+                              requested[i], specSeed);
+        },
+        [](const FleetReport &r) { return r.fleetMs; });
+
+    for (size_t i = 0; i < choice.candidates.size(); i++) {
+        if (run.results[i])
+            choice.candidates[i].fleetMs = run.results[i]->fleetMs;
+    }
+    if (!choice.candidates.empty() && choice.candidates[0].feasible)
+        choice.singleMs = choice.candidates[0].fleetMs;
+    if (run.best >= 0) {
+        const FleetCandidate &win =
+            choice.candidates[static_cast<size_t>(run.best)];
+        choice.deviceCount = win.deviceCount;
+        choice.splitPoint = win.deviceCount == 1 ? -1 : win.splitPoint;
+        choice.fleetMs = win.fleetMs;
+        choice.best = std::move(*run.results[static_cast<size_t>(run.best)]);
     }
     if (choice.fleetMs > 0.0)
         choice.speedup = choice.singleMs / choice.fleetMs;
     return choice;
 }
 
-std::string
-formatFleetChoice(const FleetChoice &choice)
+ExplainSection
+FleetChoice::section() const
 {
+    ExplainSection out;
+    out.key = "fleet";
+
     std::ostringstream os;
-    os << "multi-device sweep (peer "
-       << choice.best.fleet.peerBandwidthGBs << " GB/s, "
-       << choice.best.fleet.peerLatencyUs << " us/transfer):\n";
-    for (const FleetCandidate &c : choice.candidates) {
+    os << "multi-device sweep (peer " << best.fleet.peerBandwidthGBs
+       << " GB/s, " << best.fleet.peerLatencyUs << " us/transfer):\n";
+    for (const FleetCandidate &c : candidates) {
         os << "  devices=" << c.deviceCount;
         if (c.deviceCount > 1 && c.feasible)
             os << " split=" << c.splitPoint;
         if (c.feasible) {
-            os << "  " << fmtMs(c.fleetMs) << " ms";
-            if (choice.singleMs > 0.0 && c.fleetMs > 0.0)
-                os << "  (" << fmtMs(choice.singleMs / c.fleetMs)
+            os << "  " << fixed(c.fleetMs, 4) << " ms";
+            if (singleMs > 0.0 && c.fleetMs > 0.0)
+                os << "  (" << fixed(singleMs / c.fleetMs, 4)
                    << "x vs one device)";
         } else {
             os << "  hard-filtered: " << c.verdict;
         }
         os << "\n";
     }
-    os << "selected: devices=" << choice.deviceCount;
-    if (choice.deviceCount > 1) {
-        os << " split=" << choice.splitPoint << " — "
-           << fmtMs(choice.speedup) << "x over one device ("
-           << fmtMs(choice.best.interMs) << " ms inter-device)";
+    os << "selected: devices=" << deviceCount;
+    if (deviceCount > 1) {
+        os << " split=" << splitPoint << " — " << fixed(speedup, 4)
+           << "x over one device (" << fixed(best.interMs, 4)
+           << " ms inter-device)";
     } else {
         os << " (sharding does not pay off here)";
     }
     os << "\n";
-    return os.str();
-}
+    out.text = os.str();
 
-std::string
-fleetChoiceJson(const FleetChoice &choice)
-{
-    std::ostringstream os;
-    os << "{\"devices\":" << choice.deviceCount
-       << ",\"split\":" << choice.splitPoint
-       << ",\"fleet_ms\":" << choice.fleetMs
-       << ",\"single_ms\":" << choice.singleMs
-       << ",\"speedup\":" << choice.speedup
-       << ",\"inter_ms\":" << choice.best.interMs
+    std::ostringstream js;
+    js << "{\"devices\":" << deviceCount << ",\"split\":" << splitPoint
+       << ",\"fleet_ms\":" << fleetMs << ",\"single_ms\":" << singleMs
+       << ",\"speedup\":" << speedup << ",\"inter_ms\":" << best.interMs
        << ",\"candidates\":[";
-    bool first = true;
-    for (const FleetCandidate &c : choice.candidates) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"devices\":" << c.deviceCount
+    for (size_t i = 0; i < candidates.size(); i++) {
+        const FleetCandidate &c = candidates[i];
+        js << (i ? "," : "") << "{\"devices\":" << c.deviceCount
            << ",\"split\":" << c.splitPoint << ",\"feasible\":"
            << (c.feasible ? "true" : "false");
         if (c.feasible)
-            os << ",\"fleet_ms\":" << c.fleetMs;
+            js << ",\"fleet_ms\":" << c.fleetMs;
         else
-            os << ",\"verdict\":\"" << c.verdict << "\"";
-        os << "}";
+            js << ",\"verdict\":" << jsonQuote(c.verdict);
+        js << "}";
     }
-    os << "]}";
-    return os.str();
+    js << "]}";
+    out.json = js.str();
+    return out;
 }
 
 } // namespace npp

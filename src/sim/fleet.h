@@ -96,24 +96,26 @@ struct FleetChoice
 
     /** Full report of the winning configuration. */
     FleetReport best;
+
+    /** The "fleet" explain section: the sweep table with every
+     *  candidate's time or hard-filter verdict, and the selection. */
+    ExplainSection section() const;
 };
 
 /**
  * Sweep deviceCount in [1, maxFleet.deviceCount] and, per count, the
- * partitioner's split candidates (balanced plus root-block-aligned),
- * scoring each by metrics-only fleet simulation. `specSeed` (from the
- * compile fingerprint) enables per-shard eval caching.
+ * partitioner's split candidates (balanced plus root-block-aligned).
+ * Every candidate's partitionOuter verdict, and the dedup of splits
+ * that resolve to one already listed, are settled before anything is
+ * simulated; the feasible ones then run concurrently through the
+ * sweep engine (sim/sweep.h), scored by metrics-only fleet simulation.
+ * `specSeed` (from the compile fingerprint) enables per-shard eval
+ * caching.
  */
 FleetChoice searchFleet(const Gpu &gpu, const KernelSpec &spec,
                         const Bindings &args, const FleetConfig &maxFleet,
                         const ExecOptions &eopts = {},
                         uint64_t specSeed = 0);
-
-/** Human-readable sweep table + selection line (nppc --explain). */
-std::string formatFleetChoice(const FleetChoice &choice);
-
-/** JSON object for --stats exports and the serve protocol. */
-std::string fleetChoiceJson(const FleetChoice &choice);
 
 } // namespace npp
 

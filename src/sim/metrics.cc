@@ -1,57 +1,11 @@
 #include "sim/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "support/strings.h"
 
 namespace npp {
-
-namespace {
-
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 uint64_t
 SimReport::heapBytes() const
@@ -81,55 +35,56 @@ SimReport::toJson(int64_t transactionBytes) const
     const double total = std::max(totalMs, 1e-12);
     std::ostringstream os;
     os << "{";
-    os << "\"total_ms\":" << num(totalMs);
-    os << ",\"compute_ms\":" << num(computeMs);
-    os << ",\"memory_ms\":" << num(memoryMs);
-    os << ",\"launch_ms\":" << num(launchMs);
-    os << ",\"block_overhead_ms\":" << num(blockOverheadMs);
-    os << ",\"malloc_ms\":" << num(mallocMs);
-    os << ",\"combiner_ms\":" << num(combinerMs);
-    os << ",\"compaction_ms\":" << num(compactionMs);
-    os << ",\"queue_build_ms\":" << num(queueBuildMs);
-    os << ",\"launch_share\":" << num(launchMs / total);
-    os << ",\"block_overhead_share\":" << num(blockOverheadMs / total);
-    os << ",\"achieved_bandwidth_gbs\":" << num(achievedBandwidth);
-    os << ",\"resident_warps\":" << num(residentWarps);
+    os << "\"total_ms\":" << precise(totalMs, 17);
+    os << ",\"compute_ms\":" << precise(computeMs, 17);
+    os << ",\"memory_ms\":" << precise(memoryMs, 17);
+    os << ",\"launch_ms\":" << precise(launchMs, 17);
+    os << ",\"block_overhead_ms\":" << precise(blockOverheadMs, 17);
+    os << ",\"malloc_ms\":" << precise(mallocMs, 17);
+    os << ",\"combiner_ms\":" << precise(combinerMs, 17);
+    os << ",\"compaction_ms\":" << precise(compactionMs, 17);
+    os << ",\"queue_build_ms\":" << precise(queueBuildMs, 17);
+    os << ",\"launch_share\":" << precise(launchMs / total, 17);
+    os << ",\"block_overhead_share\":" << precise(blockOverheadMs / total, 17);
+    os << ",\"achieved_bandwidth_gbs\":" << precise(achievedBandwidth, 17);
+    os << ",\"resident_warps\":" << precise(residentWarps, 17);
     os << ",\"blocks_per_sm\":" << blocksPerSM;
-    os << ",\"occupancy\":" << num(occupancy);
-    os << ",\"coalescing_efficiency\":" << num(coalescingEfficiency);
+    os << ",\"occupancy\":" << precise(occupancy, 17);
+    os << ",\"coalescing_efficiency\":" << precise(coalescingEfficiency, 17);
     os << ",\"coalesce_model\":\"" << kCoalesceModelVersion << "\"";
     os << ",\"stats\":{";
-    os << "\"warp_instructions\":" << num(stats.warpInstructions);
-    os << ",\"transactions\":" << num(stats.transactions);
-    os << ",\"useful_bytes\":" << num(stats.usefulBytes);
-    os << ",\"smem_accesses\":" << num(stats.smemAccesses);
-    os << ",\"syncs\":" << num(stats.syncs);
-    os << ",\"mallocs\":" << num(stats.mallocs);
+    os << "\"warp_instructions\":" << precise(stats.warpInstructions, 17);
+    os << ",\"transactions\":" << precise(stats.transactions, 17);
+    os << ",\"useful_bytes\":" << precise(stats.usefulBytes, 17);
+    os << ",\"smem_accesses\":" << precise(stats.smemAccesses, 17);
+    os << ",\"syncs\":" << precise(stats.syncs, 17);
+    os << ",\"mallocs\":" << precise(stats.mallocs, 17);
     os << ",\"total_blocks\":" << stats.totalBlocks;
     os << ",\"threads_per_block\":" << stats.threadsPerBlock;
     os << ",\"shared_mem_per_block\":" << stats.sharedMemPerBlock;
     os << ",\"has_combiner\":" << (stats.hasCombiner ? "true" : "false");
-    os << ",\"combiner_transactions\":" << num(stats.combinerTransactions);
-    os << ",\"combiner_ops\":" << num(stats.combinerOps);
+    os << ",\"combiner_transactions\":"
+       << precise(stats.combinerTransactions, 17);
+    os << ",\"combiner_ops\":" << precise(stats.combinerOps, 17);
     os << ",\"combiner_threads\":" << stats.combinerThreads;
     os << ",\"has_compaction\":"
        << (stats.hasCompaction ? "true" : "false");
     os << ",\"compaction_transactions\":"
-       << num(stats.compactionTransactions);
-    os << ",\"compaction_ops\":" << num(stats.compactionOps);
+       << precise(stats.compactionTransactions, 17);
+    os << ",\"compaction_ops\":" << precise(stats.compactionOps, 17);
     os << ",\"compaction_threads\":" << stats.compactionThreads;
     os << ",\"has_consolidation\":"
        << (stats.hasConsolidation ? "true" : "false");
     os << ",\"queue_build_transactions\":"
-       << num(stats.queueBuildTransactions);
-    os << ",\"queue_build_ops\":" << num(stats.queueBuildOps);
+       << precise(stats.queueBuildTransactions, 17);
+    os << ",\"queue_build_ops\":" << precise(stats.queueBuildOps, 17);
     os << ",\"queue_build_threads\":" << stats.queueBuildThreads;
     os << ",\"consolidation_groups\":" << stats.consolidationGroups;
     os << ",\"consolidation_parents\":" << stats.consolidationParents;
     os << ",\"consolidation_entries\":" << stats.consolidationEntries;
     os << ",\"consolidation_waves\":" << stats.consolidationWaves;
-    os << ",\"bin_fill\":" << num(stats.binFill);
-    os << ",\"sampled_fraction\":" << num(stats.sampledFraction);
+    os << ",\"bin_fill\":" << precise(stats.binFill, 17);
+    os << ",\"sampled_fraction\":" << precise(stats.sampledFraction, 17);
     os << ",\"classed_blocks\":" << stats.classedBlocks;
     os << ",\"class_reason\":\"" << jsonEscape(stats.classReason) << "\"";
     os << "}";
@@ -143,13 +98,13 @@ SimReport::toJson(int64_t transactionBytes) const
             const double moved =
                 st.transactions * static_cast<double>(transactionBytes);
             os << "{\"site\":" << st.site
-               << ",\"transactions\":" << num(st.transactions)
-               << ",\"useful_bytes\":" << num(st.usefulBytes)
-               << ",\"accesses\":" << num(st.accesses)
+               << ",\"transactions\":" << precise(st.transactions, 17)
+               << ",\"useful_bytes\":" << precise(st.usefulBytes, 17)
+               << ",\"accesses\":" << precise(st.accesses, 17)
                << ",\"coalescing_efficiency\":"
-               << num(moved > 0.0
+               << precise(moved > 0.0
                           ? std::min(st.usefulBytes / moved, 1.0)
-                          : 1.0)
+                          : 1.0, 17)
                << "}";
         }
         os << "]";

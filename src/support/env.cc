@@ -2,12 +2,56 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
 #include "support/logging.h"
 
 namespace npp {
+
+namespace {
+
+/** Parse all of `text` with a strtoX function (which skips leading
+ *  whitespace); trailing whitespace is allowed, anything else is not. */
+template <typename T, typename StrTo>
+std::optional<T>
+parseWhole(const std::string &text, StrTo strto)
+{
+    const char *p = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const T value = strto(p, &end);
+    if (end == p || errno == ERANGE)
+        return std::nullopt;
+    while (std::isspace(static_cast<unsigned char>(*end)))
+        end++;
+    if (*end)
+        return std::nullopt;
+    return value;
+}
+
+} // namespace
+
+std::optional<int64_t>
+parseInt64(const std::string &text)
+{
+    return parseWhole<int64_t>(text, [](const char *p, char **end) {
+        return std::strtoll(p, end, 10);
+    });
+}
+
+std::optional<double>
+parseFiniteDouble(const std::string &text)
+{
+    const std::optional<double> value =
+        parseWhole<double>(text, [](const char *p, char **end) {
+            return std::strtod(p, end);
+        });
+    if (!value || !std::isfinite(*value))
+        return std::nullopt;
+    return value;
+}
 
 int64_t
 parseEnvInt(const char *name, int64_t fallback, int64_t lo, int64_t hi)
@@ -16,25 +60,17 @@ parseEnvInt(const char *name, int64_t fallback, int64_t lo, int64_t hi)
     if (!env)
         return fallback;
 
-    const char *p = env;
-    while (std::isspace(static_cast<unsigned char>(*p)))
-        p++;
-    char *end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(p, &end, 10);
-    const bool overflowed = errno == ERANGE;
-    while (end && *end && std::isspace(static_cast<unsigned char>(*end)))
-        end++;
-    if (end == p || (end && *end) || overflowed) {
+    const std::optional<int64_t> parsed = parseInt64(env);
+    if (!parsed) {
         NPP_WARN("{}={} is not an integer; using {}", name, env, fallback);
         return fallback;
     }
-    if (parsed < lo || parsed > hi) {
+    if (*parsed < lo || *parsed > hi) {
         NPP_WARN("{}={} outside [{}, {}]; using {}", name, env, lo, hi,
                  fallback);
         return fallback;
     }
-    return parsed;
+    return *parsed;
 }
 
 bool

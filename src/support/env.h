@@ -12,9 +12,20 @@
 #define NPP_SUPPORT_ENV_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace npp {
+
+/**
+ * Parse a whole string as a decimal integer (surrounding whitespace
+ * allowed). Non-numeric text, trailing junk and overflow yield nullopt
+ * — the strict core behind parseEnvInt and the CLI's numeric flags.
+ */
+std::optional<int64_t> parseInt64(const std::string &text);
+
+/** parseInt64's contract for a finite floating-point value. */
+std::optional<double> parseFiniteDouble(const std::string &text);
 
 /**
  * Read an integer environment variable with validation.

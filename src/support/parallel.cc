@@ -191,6 +191,16 @@ inParallelRegion()
     return tlInParallel;
 }
 
+InlineParallelScope::InlineParallelScope() : saved_(tlInParallel)
+{
+    tlInParallel = true;
+}
+
+InlineParallelScope::~InlineParallelScope()
+{
+    tlInParallel = saved_;
+}
+
 void
 parallelFor(int64_t begin, int64_t end,
             const std::function<void(int64_t)> &body, int64_t grain)

@@ -44,6 +44,25 @@ void setParallelThreadCount(int threads);
 bool inParallelRegion();
 
 /**
+ * Scoped guard: while it lives, the calling thread is in the state a
+ * parallelFor body runs in, so every parallel helper it calls runs
+ * inline. Threads that already get their parallelism elsewhere (the
+ * mapping service runs one thread per connection) take it so their
+ * sweeps do not queue for, and contend over, the shared pool.
+ */
+class InlineParallelScope
+{
+  public:
+    InlineParallelScope();
+    ~InlineParallelScope();
+    InlineParallelScope(const InlineParallelScope &) = delete;
+    InlineParallelScope &operator=(const InlineParallelScope &) = delete;
+
+  private:
+    bool saved_;
+};
+
+/**
  * Run body(i) for every i in [begin, end), distributing contiguous chunks
  * over the task pool. The calling thread participates. Returns after every
  * iteration completed; rethrows the first (lowest-index) captured

@@ -117,6 +117,23 @@ std::string padRight(const std::string &s, int width);
 /** Format a double with fixed precision. */
 std::string fixed(double v, int precision);
 
+/** Format a double with `digits` significant digits (the stream's
+ *  default notation): the JSON exports' number format. */
+std::string precise(double v, int digits);
+
+/** Escape a string for embedding inside a JSON string literal: quote,
+ *  backslash, \n, \r and \t get their short escapes, every other
+ *  control byte becomes \u00XX, and everything else (UTF-8 included)
+ *  passes through. The one escaper behind every JSON export. */
+std::string jsonEscape(const std::string &s);
+
+/** jsonEscape wrapped in double quotes: a complete JSON string. */
+inline std::string
+jsonQuote(const std::string &s)
+{
+    return "\"" + jsonEscape(s) + "\"";
+}
+
 } // namespace npp
 
 #endif // NPP_SUPPORT_STRINGS_H

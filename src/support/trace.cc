@@ -12,6 +12,7 @@
 
 #include "support/env.h"
 #include "support/logging.h"
+#include "support/strings.h"
 
 namespace npp {
 
@@ -24,41 +25,6 @@ namespace {
  *  sweep over a large figure can emit millions of cache-probe spans).
  *  Long multi-device sweeps can raise it with NPP_TRACE_MAX_SPANS. */
 constexpr int64_t kDefaultMaxSpans = int64_t(1) << 20;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    // Plain decimal with enough digits to round-trip microsecond spans.
-    std::ostringstream os;
-    os.precision(15);
-    os << v;
-    return os.str();
-}
 
 int
 currentThreadId()
@@ -194,8 +160,8 @@ Trace::chromeTraceJson() const
         first = false;
         os << "{\"name\":\"" << jsonEscape(s.name)
            << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid
-           << ",\"ts\":" << jsonNumber(s.beginUs)
-           << ",\"dur\":" << jsonNumber(std::max(s.durUs, 0.0)) << "}";
+           << ",\"ts\":" << precise(s.beginUs, 15)
+           << ",\"dur\":" << precise(std::max(s.durUs, 0.0), 15) << "}";
     });
     os << "],\"displayTimeUnit\":\"ms\"}";
     return os.str();
@@ -227,7 +193,7 @@ Trace::flatJson() const
         if (!first)
             os << ",";
         first = false;
-        os << "\"" << jsonEscape(name) << "\":" << jsonNumber(value);
+        os << "\"" << jsonEscape(name) << "\":" << precise(value, 15);
     }
     os << "},\"timers\":{";
     first = true;
@@ -236,9 +202,9 @@ Trace::flatJson() const
             os << ",";
         first = false;
         os << "\"" << jsonEscape(name) << "\":{\"count\":" << t.count
-           << ",\"total_us\":" << jsonNumber(t.totalUs)
-           << ",\"min_us\":" << jsonNumber(t.minUs)
-           << ",\"max_us\":" << jsonNumber(t.maxUs) << "}";
+           << ",\"total_us\":" << precise(t.totalUs, 15)
+           << ",\"min_us\":" << precise(t.minUs, 15)
+           << ",\"max_us\":" << precise(t.maxUs, 15) << "}";
     }
     os << "},\"span_count\":" << impl_->spans.size()
        << ",\"max_spans\":" << impl_->maxSpans

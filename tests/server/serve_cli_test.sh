@@ -17,6 +17,23 @@ trap cleanup EXIT
 
 export NPP_EVAL_CACHE_DIR="$WORK/cache"
 
+# Numeric flags parse strictly: garbage, trailing junk and out-of-range
+# values are usage errors (exit 2), never 0 or a parsed prefix.
+expect_usage() {
+    local rc=0
+    "$NPPC" "$@" > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || { echo "FAIL: nppc $* exited $rc, want 2"; exit 1; }
+}
+expect_usage sumrows --devices=abc
+expect_usage sumrows --devices=33
+expect_usage sumrows --devices=
+expect_usage sumrows --size=rows=12x
+expect_usage sumrows --size=rows=
+expect_usage serve "--socket=$SOCK" --hold-eval-ms=5ms
+expect_usage train-predictor "--dir=$WORK/none" --lambda=1e-3x
+"$NPPC" sumrows --size=rows=64 --size=cols=64 --devices=32 --mapping \
+    > /dev/null || { echo "FAIL: --devices=32 must be accepted"; exit 1; }
+
 "$NPPC" serve "--socket=$SOCK" > "$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
 

@@ -16,12 +16,15 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "server/json.h"
 #include "server/server.h"
+#include "sim/consolidation.h"
+#include "sim/fleet.h"
 #include "sim/evalcache.h"
 
 using namespace npp;
@@ -87,6 +90,23 @@ class ServerTest : public ::testing::Test
     std::string savedDiskDir_;
     std::unique_ptr<MappingServer> server_;
 };
+
+/** The number after `key` in `file` ("Threads:" in /proc/self/status),
+ *  or the file's line count when `key` is empty; -1 when unreadable. */
+int
+procCount(const std::string &file, const std::string &key)
+{
+    std::ifstream in(file);
+    std::string line;
+    int lines = 0;
+    while (std::getline(in, line)) {
+        if (key.empty())
+            lines++;
+        else if (line.rfind(key, 0) == 0)
+            return std::atoi(line.c_str() + key.size());
+    }
+    return in.eof() && key.empty() ? lines : -1;
+}
 
 const char kSmallEval[] =
     "{\"program\":\"sumrows\",\"sizes\":{\"rows\":64,\"cols\":64}}";
@@ -327,6 +347,32 @@ TEST_F(ServerTest, AcceptLoopSurvivesSignalsAndAbortedConnects)
     ASSERT_EQ(::sigaction(SIGUSR1, &old, nullptr), 0);
 }
 
+TEST_F(ServerTest, FinishedConnectionThreadsAreReaped)
+{
+    startServer();
+    request("{\"type\":\"ping\"}");
+    const int threadsBefore = procCount("/proc/self/status", "Threads:");
+    const int mapsBefore = procCount("/proc/self/maps", "");
+    ASSERT_GT(threadsBefore, 0);
+    ASSERT_GT(mapsBefore, 0);
+
+    // One-shot clients, as `nppc --client` is: one connection each.
+    for (int i = 0; i < 200; i++) {
+        std::string response, error;
+        ASSERT_TRUE(serveRoundTrip(socket_, "{\"type\":\"ping\"}",
+                                   &response, &error))
+            << error;
+    }
+
+    // Each accept joins the connections that already hung up, so only
+    // the last few can still be around. An exited thread nobody joined
+    // no longer counts under "Threads:" but keeps its stack mapped
+    // (two map entries), so the map count is what exposes the leak:
+    // 200 unjoined threads would add ~400 entries.
+    EXPECT_LE(procCount("/proc/self/status", "Threads:"), threadsBefore + 3);
+    EXPECT_LE(procCount("/proc/self/maps", ""), mapsBefore + 60);
+}
+
 TEST_F(ServerTest, ShutdownRequestStopsTheServer)
 {
     startServer();
@@ -340,6 +386,47 @@ TEST_F(ServerTest, ShutdownRequestStopsTheServer)
     std::string response, error;
     EXPECT_FALSE(serveRoundTrip(socket_, "{\"type\":\"ping\"}",
                                 &response, &error));
+}
+
+TEST(JsonEscape, HostileLabelsAndVerdictsRoundTrip)
+{
+    // A quote, a backslash, a tab and a control byte: every JSON export
+    // goes through one escaper, so each must come back intact.
+    const std::string hostile = std::string("a\"b\\c\td") + '\x01' + "e";
+
+    ConsolidationChoice cons;
+    cons.verdict = hostile;
+    ConsolidationCandidate consCand;
+    consCand.label = hostile;
+    consCand.verdict = hostile;
+    cons.candidates.push_back(consCand);
+    const std::optional<JsonValue> consJson = parseJson(cons.section().json);
+    ASSERT_TRUE(consJson.has_value()) << cons.section().json;
+    EXPECT_EQ(consJson->get("verdict")->asString(), hostile);
+    const JsonValue &consParsed = consJson->get("candidates")->elements.at(0);
+    EXPECT_EQ(consParsed.get("label")->asString(), hostile);
+    EXPECT_EQ(consParsed.get("verdict")->asString(), hostile);
+
+    FleetChoice fleet;
+    FleetCandidate fleetCand;
+    fleetCand.deviceCount = 2;
+    fleetCand.verdict = hostile;
+    fleet.candidates.push_back(fleetCand);
+    const std::optional<JsonValue> fleetJson = parseJson(fleet.section().json);
+    ASSERT_TRUE(fleetJson.has_value()) << fleet.section().json;
+    EXPECT_EQ(fleetJson->get("candidates")->elements.at(0).get("verdict")
+                  ->asString(),
+              hostile);
+
+    SearchExplanation ex;
+    ex.valid = true;
+    ex.controlDopNote = hostile;
+    ex.sections.push_back(fleet.section());
+    const std::optional<JsonValue> exJson =
+        parseJson(searchExplanationJson(ex));
+    ASSERT_TRUE(exJson.has_value()) << searchExplanationJson(ex);
+    EXPECT_EQ(exJson->get("control_dop")->asString(), hostile);
+    ASSERT_NE(exJson->get("fleet"), nullptr);
 }
 
 } // namespace

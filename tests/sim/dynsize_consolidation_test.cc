@@ -114,6 +114,7 @@ TEST(DynSizeDifferential, ConsolidatedMatchesStaticAndReference)
 
 TEST(DynSizeDifferential, CacheKeysNeverCollideAcrossStrategies)
 {
+    Gpu gpu;
     SpmvProgram s = buildSpmv();
     std::vector<CompileOptions> points;
     for (Strategy st :
@@ -129,8 +130,7 @@ TEST(DynSizeDifferential, CacheKeysNeverCollideAcrossStrategies)
     std::set<uint64_t> seen;
     for (const CompileOptions &c : points) {
         const uint64_t key =
-            EvalCache::combine(EvalCache::hashProgram(*s.prog),
-                               EvalCache::hashCompileOptions(c));
+            EvalCache::specSeed(*s.prog, c, gpu.config());
         EXPECT_TRUE(seen.insert(key).second)
             << "duplicate cache key for strategy "
             << strategyName(c.strategy);
@@ -275,19 +275,17 @@ TEST(DynSizeDifferential, SweepNamesWhyConsolidationWonOrLost)
     EXPECT_FALSE(choice.verdict.empty());
     EXPECT_NE(choice.verdict.find("consolidated"), std::string::npos);
 
-    const std::string text = formatConsolidationChoice(choice);
-    EXPECT_NE(text.find("consolidation sweep"), std::string::npos);
-    EXPECT_NE(text.find("selected:"), std::string::npos);
+    const ExplainSection section = choice.section();
+    EXPECT_EQ(section.key, "consolidation");
+    EXPECT_NE(section.text.find("consolidation sweep"), std::string::npos);
+    EXPECT_NE(section.text.find("selected:"), std::string::npos);
+    EXPECT_NE(section.json.find("\"consolidated\":"), std::string::npos);
+    EXPECT_NE(section.json.find("\"candidates\":"), std::string::npos);
 
-    const std::string json = consolidationChoiceJson(choice);
-    EXPECT_NE(json.find("\"consolidated\":"), std::string::npos);
-    EXPECT_NE(json.find("\"candidates\":"), std::string::npos);
-
-    // The explain surfaces thread the note and the JSON through.
+    // The explain surfaces render the section's text and JSON.
     SearchExplanation ex;
     ex.valid = true;
-    ex.consolidationNote = text;
-    ex.consolidationJson = json;
+    ex.sections.push_back(section);
     EXPECT_NE(formatSearchExplanation(ex).find("consolidation sweep"),
               std::string::npos);
     EXPECT_NE(searchExplanationJson(ex).find("\"consolidation\":"),
@@ -365,10 +363,10 @@ TEST(DynSizeDifferential, FleetSweepNamesRuntimeSizedOuter)
     }
     EXPECT_TRUE(namedVerdict)
         << "no N>1 candidate carried the runtime-size verdict:\n"
-        << formatFleetChoice(choice);
-    EXPECT_NE(fleetChoiceJson(choice).find("not known at launch"),
+        << choice.section().text;
+    EXPECT_NE(choice.section().json.find("not known at launch"),
               std::string::npos);
-    EXPECT_NE(formatFleetChoice(choice).find("hard-filtered"),
+    EXPECT_NE(choice.section().text.find("hard-filtered"),
               std::string::npos);
 }
 

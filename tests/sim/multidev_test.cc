@@ -188,9 +188,9 @@ TEST(MultiDev, TooSmallDomainFallsBackToOneDevice)
     }
     EXPECT_TRUE(sawFilter);
     // The verdict must surface in both renderings of the sweep.
-    EXPECT_NE(formatFleetChoice(choice).find("hard-filtered"),
+    EXPECT_NE(choice.section().text.find("hard-filtered"),
               std::string::npos);
-    EXPECT_NE(fleetChoiceJson(choice).find("outer domain too small"),
+    EXPECT_NE(choice.section().json.find("outer domain too small"),
               std::string::npos);
 }
 
@@ -242,10 +242,8 @@ TEST(MultiDev, ShardRunsNeverReuseWholeDomainCacheEntries)
     SumSetup s = makeSumRows(gpu, 320, 64);
     ExecOptions eopts;
     eopts.metricsOnly = true;
-    const uint64_t specSeed = EvalCache::combine(
-        EvalCache::combine(EvalCache::hashProgram(*s.sp.prog),
-                           EvalCache::hashCompileOptions({})),
-        EvalCache::hashDevice(gpu.config()));
+    const uint64_t specSeed =
+        EvalCache::specSeed(*s.sp.prog, {}, gpu.config());
 
     EvalCache::instance().clear();
     EvalCache::instance().resetCounters();

@@ -20,6 +20,9 @@
 #                               # determinism, hostile model files,
 #                               # pruned-vs-full sweep differential) in
 #                               # the default AND asan trees
+#   tools/check.sh golden       # byte-identity gate: --explain text,
+#                               # --stats JSON and serve responses vs
+#                               # tests/golden/expected
 #   tools/check.sh all          # all four builds, in order
 #
 # Every ctest invocation runs the full suite, including the classed
@@ -121,6 +124,12 @@ dynsize)
     cmake --build build-asan -j
     ctest --test-dir build-asan --output-on-failure -j "$(nproc)" -L dynsize
     ;;
+golden)
+    echo "== check: golden (build) =="
+    cmake -B build -S .
+    cmake --build build -j
+    ctest --test-dir build --output-on-failure -j "$(nproc)" -L golden
+    ;;
 predict)
     echo "== check: predict (build) =="
     cmake -B build -S .
@@ -138,7 +147,7 @@ all)
     run_job ubsan build-ubsan -DNPP_UBSAN=ON
     ;;
 *)
-    echo "usage: tools/check.sh [default|asan|tsan|ubsan|differential|coalesce|server|multidev|dynsize|predict|all]" >&2
+    echo "usage: tools/check.sh [default|asan|tsan|ubsan|differential|coalesce|server|multidev|dynsize|predict|golden|all]" >&2
     exit 2
     ;;
 esac

@@ -68,6 +68,7 @@
 #include "sim/evalcache.h"
 #include "sim/fleet.h"
 #include "sim/gpu.h"
+#include "support/env.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
@@ -86,6 +87,9 @@ classingLine(const KernelStats &stats)
     return "block classing: every block simulated (" + stats.classReason +
            ")";
 }
+
+/** Upper bound for serve --hold-eval-ms (a test knob: one minute). */
+constexpr int64_t kMaxHoldEvalMs = 60000;
 
 int
 usage()
@@ -116,10 +120,13 @@ runServe(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg.rfind("--socket=", 0) == 0)
             opts.socketPath = arg.substr(std::strlen("--socket="));
-        else if (arg.rfind("--hold-eval-ms=", 0) == 0)
-            opts.holdEvalMs =
-                std::atoi(arg.c_str() + std::strlen("--hold-eval-ms="));
-        else
+        else if (arg.rfind("--hold-eval-ms=", 0) == 0) {
+            const std::optional<int64_t> ms =
+                parseInt64(arg.substr(std::strlen("--hold-eval-ms=")));
+            if (!ms || *ms < 0 || *ms > kMaxHoldEvalMs)
+                return usage();
+            opts.holdEvalMs = static_cast<int>(*ms);
+        } else
             return usage();
     }
     if (opts.socketPath.empty()) {
@@ -160,9 +167,13 @@ runTrainPredictor(int argc, char **argv)
             opts.modelPath = opts.sampleDir + "/model.nppprd";
         } else if (arg.rfind("--model=", 0) == 0)
             opts.modelPath = arg.substr(std::strlen("--model="));
-        else if (arg.rfind("--lambda=", 0) == 0)
-            lambda = std::atof(arg.c_str() + std::strlen("--lambda="));
-        else
+        else if (arg.rfind("--lambda=", 0) == 0) {
+            const std::optional<double> value =
+                parseFiniteDouble(arg.substr(std::strlen("--lambda=")));
+            if (!value || *value < 0.0)
+                return usage();
+            lambda = *value;
+        } else
             return usage();
     }
     if (opts.sampleDir.empty()) {
@@ -301,17 +312,20 @@ main(int argc, char **argv)
         else if (arg.rfind("--client=", 0) == 0)
             clientSocket = arg.substr(std::strlen("--client="));
         else if (arg.rfind("--devices=", 0) == 0) {
-            devices = std::atoi(arg.c_str() + std::strlen("--devices="));
-            if (devices < 1 || devices > 64)
+            const std::optional<int64_t> n =
+                parseInt64(arg.substr(std::strlen("--devices=")));
+            if (!n || *n < 1 || *n > kMaxFleetDevices)
                 return usage();
-        }
-        else if (arg.rfind("--size=", 0) == 0) {
+            devices = static_cast<int>(*n);
+        } else if (arg.rfind("--size=", 0) == 0) {
             const std::string kv = arg.substr(std::strlen("--size="));
             const size_t eq = kv.find('=');
-            if (eq == std::string::npos || eq == 0)
+            const std::optional<int64_t> n =
+                eq == std::string::npos ? std::nullopt
+                                        : parseInt64(kv.substr(eq + 1));
+            if (eq == 0 || !n)
                 return usage();
-            sizes[kv.substr(0, eq)] =
-                std::atoll(kv.c_str() + eq + 1);
+            sizes[kv.substr(0, eq)] = *n;
         } else if (arg == "--all")
             showIr = showConstraints = showMapping = showCuda = doRun =
                 explain = true;
@@ -369,23 +383,25 @@ main(int argc, char **argv)
     copts.paramValues = demo->params;
     copts.fuseMapReduce = demo->fuse;
     copts.explainSearch = explain;
+    // Inputs of every metrics-only evaluation below (the sweeps, the
+    // classing verdict): none of them writes the bound arrays.
+    Bindings metricsArgs(*demo->prog);
+    demo->bind(metricsArgs);
+    ExecOptions metricsOpts;
+    metricsOpts.metricsOnly = true;
 
     // Predictor-guided empirical sweep: rank candidates with the learned
     // model, exactly simulate the survivors, keep the fastest (full
     // sweep without a model).
     PredictSweep psweep;
     if (predict) {
-        Bindings sweepArgs(*demo->prog);
-        demo->bind(sweepArgs);
         psweep = PredictRuntime::instance().sweep(gpu, *demo->prog,
-                                                  sweepArgs, copts);
+                                                  metricsArgs, copts);
     }
 
     CompileResult compiled =
         compileProgram(*demo->prog, gpu.config(), copts);
     if (predict) {
-        compiled.explanation.predictNote = psweep.note();
-        compiled.explanation.predictJson = psweep.toJson();
         if (!(compiled.spec.mapping == psweep.best)) {
             // The sweep beat the score-based selection: recompile the
             // rest of the pipeline against the empirical winner.
@@ -401,43 +417,37 @@ main(int argc, char **argv)
         }
     }
     // Seed for cachedRun: identifies how the spec above was produced.
-    const uint64_t specSeed = EvalCache::combine(
-        EvalCache::combine(EvalCache::hashProgram(*demo->prog),
-                           EvalCache::hashCompileOptions(copts)),
-        EvalCache::hashDevice(gpu.config()));
+    const uint64_t specSeed =
+        EvalCache::specSeed(*demo->prog, copts, gpu.config());
+
+    // The sweeps' reports join the decision report in run order.
+    std::vector<ExplainSection> &sections = compiled.explanation.sections;
 
     // Multi-device sweep: score (deviceCount, splitPoint) by fleet
-    // simulation and attach the verdicts to the decision report.
-    FleetChoice fleetChoice;
+    // simulation.
+    std::string fleetJson;
     if (devices > 1) {
-        Bindings fleetArgs(*demo->prog);
-        demo->bind(fleetArgs);
-        ExecOptions fleetOpts;
-        fleetOpts.metricsOnly = true;
-        fleetChoice = searchFleet(gpu, compiled.spec, fleetArgs,
-                                  fleetK20c(devices), fleetOpts, specSeed);
+        const FleetChoice fleetChoice =
+            searchFleet(gpu, compiled.spec, metricsArgs,
+                        fleetK20c(devices), metricsOpts, specSeed);
         compiled.spec.fleet.deviceCount = fleetChoice.deviceCount;
         compiled.spec.fleet.splitPoint = fleetChoice.splitPoint;
         compiled.spec.fleet.verdict = fleetChoice.best.plan.verdict;
-        compiled.explanation.fleetNote = formatFleetChoice(fleetChoice);
-        compiled.explanation.fleetJson = fleetChoiceJson(fleetChoice);
+        sections.push_back(fleetChoice.section());
+        fleetJson = sections.back().json;
     }
 
     // Runtime-sized inner domains: sweep the consolidation candidates
     // so --explain names why consolidation won or lost against the best
     // static mapping.
     if (explain && hasDynamicInnerExtent(*demo->prog)) {
-        Bindings consArgs(*demo->prog);
-        demo->bind(consArgs);
-        ExecOptions consOpts;
-        consOpts.metricsOnly = true;
-        const ConsolidationChoice consChoice = searchConsolidation(
-            gpu, *demo->prog, consArgs, copts, consOpts);
-        compiled.explanation.consolidationNote =
-            formatConsolidationChoice(consChoice);
-        compiled.explanation.consolidationJson =
-            consolidationChoiceJson(consChoice);
+        sections.push_back(searchConsolidation(gpu, *demo->prog,
+                                               metricsArgs, copts,
+                                               metricsOpts)
+                               .section());
     }
+    if (predict)
+        sections.push_back(psweep.section());
 
     if (showIr)
         std::printf("== IR ==\n%s\n", printProgram(*demo->prog).c_str());
@@ -469,23 +479,23 @@ main(int argc, char **argv)
             // The classing verdict comes from execution, not from the
             // mapping search; a metrics-only run is cheap and shows
             // whether the simulator will merge equivalent blocks.
-            Bindings args(*demo->prog);
-            demo->bind(args);
-            ExecOptions eopts;
-            eopts.metricsOnly = true;
-            SimReport verdict = cachedRun(gpu, compiled.spec, args, eopts,
-                                          specSeed, /*wantOutputs=*/false);
+            SimReport verdict =
+                cachedRun(gpu, compiled.spec, metricsArgs, metricsOpts,
+                          specSeed, /*wantOutputs=*/false);
             std::printf("%s\n\n", classingLine(verdict.stats).c_str());
         }
     }
-    if (devices > 1 && !explain) {
-        // --explain prints the sweep inside the decision report; give
-        // everyone else a section of their own.
-        std::printf("== Multi-device ==\n%s\n",
-                    formatFleetChoice(fleetChoice).c_str());
+    if (!explain) {
+        // --explain prints the sweeps inside the decision report; give
+        // everyone else a titled block per sweep (consolidation only
+        // sweeps under --explain).
+        for (const ExplainSection &section : sections) {
+            std::printf("== %s ==\n%s\n",
+                        section.key == "fleet" ? "Multi-device"
+                                               : "Predictive sweep",
+                        section.text.c_str());
+        }
     }
-    if (predict && !explain)
-        std::printf("== Predictive sweep ==\n%s\n", psweep.note().c_str());
     if (showCuda)
         std::printf("== CUDA ==\n%s\n", compiled.spec.cudaSource.c_str());
     if (doRun) {
@@ -513,9 +523,8 @@ main(int argc, char **argv)
                 report.toJson(gpu.config().transactionBytes) +
                 ",\"eval_cache\":" + EvalCache::instance().stats().toJson() +
                 ",\"predict\":" + predictStatsJson() +
-                (devices > 1
-                     ? ",\"fleet\":" + fleetChoiceJson(fleetChoice)
-                     : std::string()) +
+                (fleetJson.empty() ? std::string()
+                                   : ",\"fleet\":" + fleetJson) +
                 "}\n";
             FILE *f = std::fopen(statsPath.c_str(), "wb");
             if (!f) {
