@@ -149,10 +149,9 @@ runFigure()
     for (const auto &demo : programs)
         pruned.push_back(coldSweep(gpu, *demo, &*model));
 
-    const std::vector<std::string> series = {"Full (ms)", "Pruned (ms)",
-                                             "FullSims", "PrunedSims",
-                                             "Speedup"};
-    std::vector<Row> rows;
+    // Model columns and wall-clock columns go to separate sections, so
+    // the model rows are byte-identical run to run.
+    std::vector<Row> modelRows, wallRows;
     double fullTotal = 0.0, prunedTotal = 0.0;
     for (size_t i = 0; i < programs.size(); i++) {
         const PredictSweep &f = full[i].sweep;
@@ -179,18 +178,23 @@ runFigure()
 
         fullTotal += full[i].wallMs;
         prunedTotal += pruned[i].wallMs;
-        rows.push_back(Row{name,
-                           {full[i].wallMs, pruned[i].wallMs,
-                            static_cast<double>(f.survivors),
-                            static_cast<double>(p.survivors),
-                            full[i].wallMs / pruned[i].wallMs}});
+        modelRows.push_back(Row{std::string(name) + " " + f.best.toString(),
+                                {static_cast<double>(f.survivors),
+                                 static_cast<double>(p.survivors),
+                                 f.bestMs}});
+        wallRows.push_back(Row{name,
+                               {full[i].wallMs, pruned[i].wallMs,
+                                full[i].wallMs / pruned[i].wallMs}});
     }
-    rows.push_back(Row{"TOTAL",
-                       {fullTotal, prunedTotal, 0.0, 0.0,
-                        fullTotal / prunedTotal}});
+    wallRows.push_back(
+        Row{"TOTAL", {fullTotal, prunedTotal, fullTotal / prunedTotal}});
 
-    std::printf("\n");
-    table(series, rows, 16);
+    std::printf("\nSweep outcomes (model; the label names the winner):\n");
+    table({"FullSims", "PrunedSims", "Best (ms)"}, modelRows, 64);
+
+    banner("Predictive search pruning: cold-sweep wall clock",
+           "Host wall time of the same sweeps (varies run to run).");
+    table({"Full (ms)", "Pruned (ms)", "Speedup"}, wallRows, 16);
 
     std::printf(
         "\nShapes to check:\n"

@@ -24,6 +24,7 @@ Runner::launch(const Program &prog, const Bindings &args)
     NPP_TRACE_SCOPE("app.launch");
     NPP_TRACE_COUNT("app.launches", 1);
     if (!gpu_) {
+        NPP_TRACE_SCOPE("runtime.reference");
         WorkCounts wc = ReferenceInterp().run(prog, args);
         work.computeOps += wc.computeOps;
         work.bytesRead += wc.bytesRead;

@@ -10,6 +10,7 @@
 #ifndef NPP_IR_EXPR_H
 #define NPP_IR_EXPR_H
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 
@@ -72,6 +73,53 @@ enum class ExprKind {
 struct Expr;
 using ExprRef = std::shared_ptr<const Expr>;
 
+/** Compiled form of an expression tree, defined by the evaluator
+ *  (runtime/eval.cc); deleted through this base. */
+struct ExprCode
+{
+    ExprCode() = default;
+    ExprCode(const ExprCode &) = delete;
+    ExprCode &operator=(const ExprCode &) = delete;
+    virtual ~ExprCode() = default;
+};
+
+/**
+ * Owner of the code compiled from the tree rooted at one node. The
+ * evaluator fills it on the node's first evaluation; several threads may
+ * race to do so, and publish() keeps exactly one winner. A copied node
+ * starts uncompiled, so code never outlives or escapes its own tree.
+ */
+class ExprCodeSlot
+{
+  public:
+    ExprCodeSlot() = default;
+    ExprCodeSlot(const ExprCodeSlot &) {}
+    ExprCodeSlot &operator=(const ExprCodeSlot &) = delete;
+    ~ExprCodeSlot() { delete code_.load(std::memory_order_acquire); }
+
+    const ExprCode *
+    get() const
+    {
+        return code_.load(std::memory_order_acquire);
+    }
+
+    /** Install `code` unless another thread got there first; returns the
+     *  installed code either way. */
+    const ExprCode *
+    publish(std::unique_ptr<const ExprCode> code) const
+    {
+        const ExprCode *expected = nullptr;
+        if (code_.compare_exchange_strong(expected, code.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire))
+            return code.release();
+        return expected;
+    }
+
+  private:
+    mutable std::atomic<const ExprCode *> code_{nullptr};
+};
+
 /**
  * A single immutable expression node. Fields are used depending on `kind`;
  * unused fields keep their defaults. Construction goes through the factory
@@ -92,6 +140,9 @@ struct Expr
      *  grouping keys must not depend on process state such as node
      *  addresses (mutable: ids are bookkeeping, not IR semantics). */
     mutable int readSite = -1;
+
+    /** Code compiled from the tree rooted here (see runtime/eval.h). */
+    ExprCodeSlot code;
 };
 
 /** @name Expression factories

@@ -4,7 +4,9 @@
  * interpreter (ground truth) and the GPU simulator's per-thread execution.
  * Evaluation carries all scalars as double (exact for the integer ranges
  * used here) and reports every array access to an optional memory probe so
- * the simulator can count per-warp coalesced transactions.
+ * the simulator can count per-warp coalesced transactions. Each expression
+ * tree is compiled once, on its first evaluation, into flat code cached on
+ * its root node (DESIGN.md "Expression evaluation").
  */
 
 #ifndef NPP_RUNTIME_EVAL_H
@@ -97,7 +99,8 @@ struct EvalCtx
     {}
 };
 
-/** Evaluate a pure expression in the given context. */
+/** Evaluate a pure expression in the given context. Safe to call from
+ *  several threads on one tree, each with its own context. */
 double evalExpr(const Expr *expr, EvalCtx &ctx);
 
 inline double

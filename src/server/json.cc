@@ -16,6 +16,8 @@ namespace {
  *  stack. */
 struct Parser
 {
+    Parser(const char *text, size_t len) : p(text), n(len) {}
+
     const char *p;
     size_t n;
     size_t off = 0;
@@ -247,7 +249,7 @@ parseJson(const std::string &text, std::string *error)
 {
     // strtod in Parser::parseValue needs a NUL-terminated buffer;
     // std::string::data() provides one.
-    Parser parser{text.data(), text.size()};
+    Parser parser(text.data(), text.size());
     JsonValue root;
     if (!parser.parseValue(&root, 0)) {
         if (error)

@@ -31,6 +31,21 @@ expect_usage sumrows --size=rows=12x
 expect_usage sumrows --size=rows=
 expect_usage serve "--socket=$SOCK" --hold-eval-ms=5ms
 expect_usage train-predictor "--dir=$WORK/none" --lambda=1e-3x
+# Client mode cannot forward --predict, --stats or --trace: each is a
+# usage error naming the flag, rejected before any connection is tried.
+for flag in --predict "--stats=$WORK/s.json" "--trace=$WORK/t.json"; do
+    rc=0
+    "$NPPC" sumrows "--client=$SOCK" "$flag" > /dev/null \
+        2> "$WORK/flag.err" || rc=$?
+    [ "$rc" -eq 2 ] || { echo "FAIL: client mode with $flag exited $rc"
+        exit 1; }
+    grep -q -- "${flag%%=*} is not supported in client mode" \
+        "$WORK/flag.err" || {
+        echo "FAIL: client-mode rejection of $flag does not name it"
+        cat "$WORK/flag.err"; exit 1; }
+done
+[ ! -e "$WORK/s.json" ] && [ ! -e "$WORK/t.json" ] || {
+    echo "FAIL: a rejected client-mode flag wrote its file"; exit 1; }
 "$NPPC" sumrows --size=rows=64 --size=cols=64 --devices=32 --mapping \
     > /dev/null || { echo "FAIL: --devices=32 must be accepted"; exit 1; }
 

@@ -45,8 +45,10 @@
  * a Unix socket (newline-delimited JSON requests; see src/server/
  * server.h for the protocol). `--client=PATH` sends the request to a
  * running server instead of evaluating locally: a program name becomes
- * an eval request (honoring --strategy/--size/--explain), and the
- * pseudo-programs ping / stats / shutdown become typed requests.
+ * an eval request (honoring --strategy/--size/--explain/--devices), and
+ * the pseudo-programs ping / stats / shutdown become typed requests.
+ * The request has no field for --predict, --stats or --trace, so client
+ * mode rejects them (exit 2) rather than silently dropping them.
  *
  * programs: sumrows, sumcols, weightedrows, weightedcols, pagerank,
  *           mandelbrot, spmv
@@ -344,6 +346,17 @@ main(int argc, char **argv)
     }
 
     if (!clientSocket.empty()) {
+        const char *local = predict             ? "--predict"
+                            : !statsPath.empty() ? "--stats"
+                            : !tracePath.empty() ? "--trace"
+                                                 : nullptr;
+        if (local) {
+            std::fprintf(stderr,
+                         "nppc --client: %s is not supported in client "
+                         "mode (the server request cannot carry it)\n",
+                         local);
+            return 2;
+        }
         const std::string request =
             clientRequest(name, strategyStr, sizes, explain, devices);
         std::string response, error;
