@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "support/logging.h"
+#include "support/trace.h"
 
 namespace npp {
 
@@ -13,12 +14,52 @@ Bindings::Bindings(const Program &prog)
       arrays_(prog.numVars())
 {}
 
+Bindings::Bindings(const Bindings &other)
+    : prog_(other.prog_),
+      scalars_(other.scalars_),
+      scalarBound_(other.scalarBound_),
+      arrays_(other.arrays_)
+{}
+
+Bindings &
+Bindings::operator=(const Bindings &other)
+{
+    NPP_ASSERT(!frozen(), "bindings reassigned inside a frozen window");
+    prog_ = other.prog_;
+    scalars_ = other.scalars_;
+    scalarBound_ = other.scalarBound_;
+    arrays_ = other.arrays_;
+    return *this;
+}
+
+Bindings::Freeze::Freeze(const Bindings &args) : args_(args)
+{
+    std::lock_guard<std::mutex> lock(args_.freezeMutex_);
+    args_.freezeDepth_++;
+}
+
+Bindings::Freeze::~Freeze()
+{
+    std::lock_guard<std::mutex> lock(args_.freezeMutex_);
+    if (--args_.freezeDepth_ == 0)
+        args_.frozenFingerprint_.reset();
+}
+
+bool
+Bindings::frozen() const
+{
+    std::lock_guard<std::mutex> lock(freezeMutex_);
+    return freezeDepth_ > 0;
+}
+
 void
 Bindings::scalar(Ex param, double value)
 {
     NPP_ASSERT(param.valid() && param.ref()->kind == ExprKind::Var,
                "scalar binding must name a param");
     const int id = param.ref()->varId;
+    NPP_ASSERT(!frozen(), "{} rebound inside a frozen window",
+               prog_->var(id).name);
     NPP_ASSERT(prog_->var(id).role == VarRole::ScalarParam,
                "{} is not a scalar param", prog_->var(id).name);
     scalars_[id] = value;
@@ -29,6 +70,8 @@ void
 Bindings::array(Arr param, std::vector<double> &storage)
 {
     const int id = param.id();
+    NPP_ASSERT(!frozen(), "{} rebound inside a frozen window",
+               prog_->var(id).name);
     NPP_ASSERT(prog_->var(id).role == VarRole::ArrayParam,
                "{} is not an array param", prog_->var(id).name);
     ArraySlot slot;
@@ -46,6 +89,7 @@ Bindings::array(Arr param, std::vector<double> &storage)
 void
 Bindings::shiftAddrBases(int64_t deltaElems)
 {
+    NPP_ASSERT(!frozen(), "address bases shifted inside a frozen window");
     for (ArraySlot &slot : arrays_) {
         if (slot.data)
             slot.addrBase += deltaElems;
@@ -97,6 +141,23 @@ mixDouble(uint64_t h, double v)
 uint64_t
 Bindings::fingerprint() const
 {
+    {
+        // Inside a window the first caller hashes under the lock, so
+        // concurrent sweep candidates wait for one result.
+        std::lock_guard<std::mutex> lock(freezeMutex_);
+        if (freezeDepth_ > 0) {
+            if (!frozenFingerprint_)
+                frozenFingerprint_ = hashContents();
+            return *frozenFingerprint_;
+        }
+    }
+    return hashContents();
+}
+
+uint64_t
+Bindings::hashContents() const
+{
+    NPP_TRACE_COUNT("bindings.fingerprints", 1);
     uint64_t h = 0xcbf29ce484222325ULL;
     for (const auto &v : prog_->vars()) {
         if (v.role == VarRole::ScalarParam) {

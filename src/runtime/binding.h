@@ -8,6 +8,8 @@
 #ifndef NPP_RUNTIME_BINDING_H
 #define NPP_RUNTIME_BINDING_H
 
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "ir/builder.h"
@@ -23,6 +25,37 @@ class Bindings
 {
   public:
     explicit Bindings(const Program &prog);
+
+    /** A copy binds the same storage, but starts unfrozen. Assigning
+     *  rebinds, so the target must not be frozen. */
+    Bindings(const Bindings &other);
+    Bindings &operator=(const Bindings &other);
+
+    /**
+     * Frozen window (RAII). While at least one Freeze on a Bindings is
+     * open, its content fingerprint is computed at most once and
+     * fingerprint() returns that value. Opening one promises that
+     * nothing writes the bound storage until the last window closes:
+     * only metrics-only evaluations may run inside, and scalar(),
+     * array() and shiftAddrBases() assert. Windows nest (an inner open
+     * only bumps a depth) and may be opened concurrently from several
+     * threads on a const Bindings.
+     */
+    class Freeze
+    {
+      public:
+        explicit Freeze(const Bindings &args);
+        ~Freeze();
+
+        Freeze(const Freeze &) = delete;
+        Freeze &operator=(const Freeze &) = delete;
+
+      private:
+        const Bindings &args_;
+    };
+
+    /** True while any Freeze on this Bindings is open. */
+    bool frozen() const;
 
     /** Bind a scalar parameter (by the Ex handle the builder returned). */
     void scalar(Ex param, double value);
@@ -48,7 +81,8 @@ class Bindings
     /** Stable fingerprint of everything bound: scalar values, array
      *  sizes and full contents. Two bindings with equal fingerprints
      *  drive a program identically, which is what the evaluation cache
-     *  keys on. O(total array elements). */
+     *  keys on. O(total array elements), except inside a frozen window,
+     *  where the first call computes it and later calls reuse it. */
     uint64_t fingerprint() const;
 
     /** Slot of an array param (null data when unbound); used by the
@@ -58,10 +92,20 @@ class Bindings
     const Program &program() const { return *prog_; }
 
   private:
+    uint64_t hashContents() const;
+
     const Program *prog_;
     std::vector<double> scalars_;
     std::vector<bool> scalarBound_;
     std::vector<ArraySlot> arrays_;
+
+    /** @name Frozen-window state, guarded by freezeMutex_
+     *  @{
+     */
+    mutable std::mutex freezeMutex_;
+    mutable int freezeDepth_ = 0;
+    mutable std::optional<uint64_t> frozenFingerprint_;
+    /** @} */
 };
 
 } // namespace npp

@@ -159,6 +159,11 @@ struct MappingServer::Impl
     std::atomic<uint64_t> memoryHits{0};
     std::atomic<uint64_t> diskHits{0};
 
+    /** Latency of every answered request (the stats request's
+     *  request_timer), kept here so it needs no process-wide tracing. */
+    std::mutex timerMutex;
+    TraceTimerStat requestTimer;
+
     explicit Impl(ServeOptions o) : opts(std::move(o)) {}
 
     /** Count a failed request and render its error line. */
@@ -266,6 +271,9 @@ struct MappingServer::Impl
         copts.explainSearch = true;
         Bindings args(*demo->prog);
         demo->bind(args);
+        // Nothing below writes the inputs: the coalescing key and every
+        // cached evaluation and sweep share one fingerprint.
+        const Bindings::Freeze frozen(args);
         int devices = 1;
         if (const JsonValue *dv = req.get("devices")) {
             if (!dv->isNumber() || dv->asInt() < 1 ||
@@ -357,8 +365,11 @@ struct MappingServer::Impl
     std::string
     handleStats(const JsonValue &req)
     {
-        const TraceTimerStat timer =
-            Trace::instance().timerStat("server.request");
+        TraceTimerStat timer;
+        {
+            std::lock_guard<std::mutex> lock(timerMutex);
+            timer = requestTimer;
+        }
         std::string resp = "{\"ok\":true," + echoPrefix(req);
         resp += fmt("\"type\":\"stats\",\"requests\":{},\"errors\":{},"
                     "\"evaluations\":{},\"simulations\":{},"
@@ -380,6 +391,21 @@ struct MappingServer::Impl
     handleLine(const std::string &line, bool *shutdown)
     {
         NPP_TRACE_SCOPE("server.request");
+        const auto t0 = std::chrono::steady_clock::now();
+        std::string resp = dispatch(line, shutdown);
+        const double us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        std::lock_guard<std::mutex> lock(timerMutex);
+        requestTimer.count++;
+        requestTimer.totalUs += us;
+        requestTimer.maxUs = std::max(requestTimer.maxUs, us);
+        return resp;
+    }
+
+    std::string
+    dispatch(const std::string &line, bool *shutdown)
+    {
         requests.fetch_add(1);
         NPP_TRACE_COUNT("server.requests", 1);
 
@@ -569,10 +595,6 @@ MappingServer::start(std::string *error)
         im.listenFd = -1;
         return false;
     }
-    // Request latency spans and coalescing counters are part of the
-    // protocol (the stats request reports them), so the registry is
-    // always on while serving.
-    Trace::instance().setEnabled(true);
     im.started.store(true);
     im.acceptThread = std::thread([&im] { im.acceptLoop(); });
     return true;

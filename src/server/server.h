@@ -25,8 +25,10 @@
  * — same program, sizes, strategy, device, fleet — are coalesced onto a single
  * evaluation keyed by the same fingerprint the EvalCache uses; the
  * waiters share the leader's outcome and their responses are marked
- * "coalesced":true. Per-request latency is recorded under the
- * "server.request" trace span and surfaced by the stats request.
+ * "coalesced":true. The server keeps its own request-latency
+ * aggregate, surfaced by the stats request as request_timer; it never
+ * turns tracing on, and records the "server.request" span only when
+ * the caller did.
  */
 
 #ifndef NPP_SERVER_SERVER_H

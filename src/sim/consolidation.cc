@@ -44,6 +44,7 @@ searchConsolidation(const Gpu &gpu, const Program &prog,
                     const ExecOptions &eopts)
 {
     NPP_TRACE_SCOPE("consolidation.search");
+    const Bindings::Freeze frozen(args);
     ConsolidationChoice choice;
 
     // Generator. The static baseline: the mapping the caller's options

@@ -1085,6 +1085,10 @@ memoized(const Gpu &gpu, const Bindings &args, ExecOptions eo,
          bool wantOutputs, EvalTier *tierOut, ExactEvalInfo info,
          const Seed &seed, const Simulate &simulate)
 {
+    // A functional run writes (or replays) outputs into the bound
+    // storage, which a frozen window promises nobody does.
+    NPP_ASSERT(!wantOutputs || !args.frozen(),
+               "functional evaluation inside a frozen bindings window");
     EvalCache &cache = EvalCache::instance();
     eo.metricsOnly = !wantOutputs;
     if (tierOut)

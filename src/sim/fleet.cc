@@ -62,6 +62,9 @@ runOnFleet(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
            int64_t splitPoint, uint64_t specSeed)
 {
     NPP_TRACE_SCOPE("fleet.run");
+    // A functional fleet run folds shard partials into the bound output.
+    NPP_ASSERT(eopts.metricsOnly || !args.frozen(),
+               "functional fleet run inside a frozen bindings window");
     FleetReport report;
     report.fleet = fleet;
 
@@ -129,6 +132,7 @@ searchFleet(const Gpu &gpu, const KernelSpec &spec, const Bindings &args,
             uint64_t specSeed)
 {
     NPP_TRACE_SCOPE("fleet.search");
+    const Bindings::Freeze frozen(args);
     FleetChoice choice;
 
     // Scoring never needs materialized outputs; metrics-only runs also

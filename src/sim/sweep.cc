@@ -35,6 +35,7 @@ sweepMappings(const Gpu &gpu, const Program &prog, const Bindings &args,
               const std::vector<ScoredMapping> &picks,
               const SweepPruner &prune)
 {
+    const Bindings::Freeze frozen(args);
     CompileOptions fixed = base;
     fixed.keepCandidates = false;
     fixed.explainSearch = false;

@@ -14,7 +14,9 @@
  * evaluates every feasible survivor through one parallelMap and folds
  * serially in list order, so the winner — lowest cost, earliest on
  * ties — is the same on any thread count. Evaluators run concurrently
- * (metrics-only runs through the EvalCache are safe to).
+ * (metrics-only runs through the EvalCache are safe to), and share one
+ * binding fingerprint: sweepMappings, searchFleet and
+ * searchConsolidation each hold a Bindings::Freeze for their sweep.
  */
 
 #ifndef NPP_SIM_SWEEP_H

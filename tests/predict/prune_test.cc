@@ -22,6 +22,7 @@
 #include "server/programs.h"
 #include "sim/evalcache.h"
 #include "sim/gpu.h"
+#include "support/trace.h"
 
 using namespace npp;
 
@@ -137,6 +138,34 @@ TEST_F(PredictPruneTest, PrunedSweepMatchesFullSweepOnEveryDemoProgram)
         EXPECT_TRUE(pruned.candidates[0].isScoreChoice);
         EXPECT_TRUE(pruned.candidates[0].survived) << name;
     }
+}
+
+TEST_F(PredictPruneTest, TwelveSurvivorSweepFingerprintsItsInputsOnce)
+{
+    Gpu gpu;
+    std::string error;
+    std::unique_ptr<DemoProgram> demo =
+        buildDemoProgram("sumrows", kPrograms.at("sumrows"), &error);
+    ASSERT_NE(demo, nullptr) << error;
+    Bindings args(*demo->prog);
+    demo->bind(args);
+    // A flat model predicts every candidate alike, so the pruner keeps
+    // the first top-k in list order.
+    PredictModel flat;
+    flat.mean.assign(kPredictFeatureCount, 0.0);
+    flat.scale.assign(kPredictFeatureCount, 1.0);
+    flat.weights.assign(kPredictFeatureCount, 0.0);
+
+    Trace &trace = Trace::instance();
+    trace.clear();
+    trace.setEnabled(true);
+    const PredictSweep sweep =
+        predictiveSweep(gpu, *demo->prog, args, optionsFor(*demo), &flat,
+                        kPredictDefaultTopK);
+    trace.setEnabled(false);
+    EXPECT_EQ(sweep.survivors, kPredictDefaultTopK);
+    EXPECT_EQ(trace.counterValue("bindings.fingerprints"), 1.0);
+    trace.clear();
 }
 
 TEST_F(PredictPruneTest, RuntimeWithoutModelFallsBackToFullSweep)

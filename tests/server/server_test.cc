@@ -21,11 +21,13 @@
 #include <thread>
 #include <vector>
 
+#include "predict/predict.h"
 #include "server/json.h"
 #include "server/server.h"
 #include "sim/consolidation.h"
 #include "sim/fleet.h"
 #include "sim/evalcache.h"
+#include "support/trace.h"
 
 using namespace npp;
 
@@ -266,13 +268,71 @@ TEST_F(ServerTest, StatsRequestReportsCountersAndLatency)
     EXPECT_EQ(stats.get("evaluations")->asInt(), 2);
     EXPECT_EQ(stats.get("simulations")->asInt(), 1);
     EXPECT_EQ(stats.get("memory_hits")->asInt(), 1);
-    // Latency spans: the two evals were recorded before this request
-    // started (its own span closes after rendering).
-    EXPECT_GE(stats.get("request_timer")->get("count")->asInt(), 2);
+    // Request latency: the two evals were timed before this request
+    // started (its own time is recorded after rendering).
+    EXPECT_EQ(stats.get("request_timer")->get("count")->asInt(), 2);
     EXPECT_GT(stats.get("request_timer")->get("total_us")->asNumber(),
               0.0);
     ASSERT_NE(stats.get("eval_cache"), nullptr);
     EXPECT_GE(stats.get("eval_cache")->get("hits")->asInt(), 1);
+}
+
+TEST_F(ServerTest, RequestTimerCountsEveryServedRequestWithoutTracing)
+{
+    Trace &trace = Trace::instance();
+    trace.setEnabled(false);
+    trace.clear();
+    startServer();
+    EXPECT_FALSE(trace.enabled()); // start() leaves tracing as it was
+    request(kSmallEval);
+    request("{\"type\":\"ping\"}");
+    request("{\"type\":\"no_such_type\"}");
+    request(kSmallEval);
+    const JsonValue stats = request("{\"type\":\"stats\"}");
+    ASSERT_TRUE(stats.get("ok") && stats.get("ok")->asBool());
+    EXPECT_EQ(stats.get("request_timer")->get("count")->asInt(), 4);
+    EXPECT_GE(stats.get("request_timer")->get("max_us")->asNumber(), 0.0);
+    EXPECT_FALSE(trace.enabled());
+    EXPECT_EQ(trace.spanCount(), 0u);
+}
+
+TEST_F(ServerTest, CallerEnabledTracingStillRecordsServeSpans)
+{
+    Trace &trace = Trace::instance();
+    trace.clear();
+    trace.setEnabled(true);
+    startServer();
+    request(kSmallEval);
+    request("{\"type\":\"ping\"}");
+    EXPECT_TRUE(trace.enabled());
+    EXPECT_EQ(trace.timerStat("server.request").count, 2u);
+    EXPECT_EQ(trace.counterValue("server.requests"), 2.0);
+    trace.setEnabled(false);
+    trace.clear();
+}
+
+TEST_F(ServerTest, EvalRequestFingerprintsItsInputsOnce)
+{
+    // Every sweep a request can run: fleet (devices), consolidation
+    // (spmv's runtime-sized rows) and predict (a full sweep without a
+    // model). Each looks the same inputs up in the cache, and the
+    // coalescing key hashes them too; one fingerprint serves them all.
+    PredictRuntime::instance().setEnabled(true, kPredictDefaultTopK);
+    startServer();
+    Trace &trace = Trace::instance();
+    trace.clear();
+    trace.setEnabled(true);
+    const JsonValue resp =
+        request("{\"program\":\"spmv\",\"sizes\":{\"rows\":512,"
+                "\"avgdeg\":8},\"devices\":4}");
+    trace.setEnabled(false);
+    PredictRuntime::instance().setEnabled(false, kPredictDefaultTopK);
+    ASSERT_TRUE(resp.get("ok") && resp.get("ok")->asBool());
+    EXPECT_NE(resp.get("fleet"), nullptr);
+    EXPECT_NE(resp.get("consolidation"), nullptr);
+    EXPECT_NE(resp.get("predict"), nullptr);
+    EXPECT_EQ(trace.counterValue("bindings.fingerprints"), 1.0);
+    trace.clear();
 }
 
 TEST_F(ServerTest, DevicesFieldRunsTheFleetSweep)

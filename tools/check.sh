@@ -23,6 +23,10 @@
 #   tools/check.sh golden       # byte-identity gate: --explain text,
 #                               # --stats JSON and serve responses vs
 #                               # tests/golden/expected
+#   tools/check.sh perfbench    # repo-benchmark smoke test: every
+#                               # workload at --quick size, untraced
+#                               # and traced (perfbench/test_perfbench.py;
+#                               # builds its own tree, .bench_build/)
 #   tools/check.sh all          # all four builds, in order
 #
 # Every ctest invocation runs the full suite, including the classed
@@ -140,6 +144,10 @@ predict)
     cmake --build build-asan -j
     ctest --test-dir build-asan --output-on-failure -j "$(nproc)" -L predict
     ;;
+perfbench)
+    echo "== check: perfbench (.bench_build) =="
+    python3 perfbench/test_perfbench.py
+    ;;
 all)
     run_job default build
     run_job asan build-asan -DNPP_ASAN=ON
@@ -147,7 +155,7 @@ all)
     run_job ubsan build-ubsan -DNPP_UBSAN=ON
     ;;
 *)
-    echo "usage: tools/check.sh [default|asan|tsan|ubsan|differential|coalesce|server|multidev|dynsize|predict|golden|all]" >&2
+    echo "usage: tools/check.sh [default|asan|tsan|ubsan|differential|coalesce|server|multidev|dynsize|predict|golden|perfbench|all]" >&2
     exit 2
     ;;
 esac
